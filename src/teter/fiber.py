@@ -36,7 +36,15 @@ from .errors import (
     PrecisionTooSmallError,
 )
 from .ideals import canonical_ideal, quotient_data
-from .modp import DEFAULT_PRIME, SECOND_PRIME, RowSpace, TruncatedSeries, is_prime, matmul_mod, rank_of
+from .modp import (
+    DEFAULT_PRIME,
+    SECOND_PRIME,
+    RowSpace,
+    TruncatedSeries,
+    check_modulus,
+    matmul_mod,
+    rank_of,
+)
 
 
 def default_precision(semigroup):
@@ -60,8 +68,7 @@ class FiberProductRing:
             raise GorensteinInputError(
                 "the construction needs a non-Gorenstein base ring"
             )
-        if not is_prime(prime):
-            raise ValueError("modulus %d is not prime" % prime)
+        check_modulus(prime)
         ideal = canonical_ideal(semigroup).shift(shift)
         if not ideal.is_proper_ideal():
             raise NoWitnessError(
@@ -393,8 +400,7 @@ def verify_approximation(
     if len(primes) < 2 or len(set(primes)) != len(primes):
         raise ValueError("need at least two distinct moduli")
     for p in primes:
-        if not is_prime(p):
-            raise ValueError("modulus %d is not prime" % p)
+        check_modulus(p)
 
     step = 2 * max(semigroup.generators)
     base = FiberProductRing(semigroup, shift, precision=precision, prime=primes[0])

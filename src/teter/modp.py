@@ -1,9 +1,17 @@
 """Exact linear algebra and truncated series over a prime field.
 
 Everything the approximation engine asks is a rank question over F_p.
-Matrices are dense int64 numpy arrays with entries in [0, p); p stays
-below 2^16 so a dot product of a few thousand terms cannot overflow
-int64.
+Matrices are dense int64 numpy arrays with entries in [0, p).  The
+modulus is bounded, p < 2^16, and ``check_modulus`` enforces the bound
+before anything is computed.  A product of two entries then stays
+below 2^32, so the int64 fallback of ``matmul_mod`` is exact for inner
+dimensions below 2^31, and its float64 path is exact for inner
+dimensions up to 2^53 / (p-1)^2, which is at least 2^21.
+
+A ``RowSpace`` grows by whole blocks: each offered block is reduced
+against the current span in one product, then eliminated on its own,
+in the style of FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear
+algebra over word-size prime fields", ACM TOMS 2008).
 """
 
 import numpy as np
@@ -12,10 +20,6 @@ from .errors import PrecisionTooSmallError
 
 DEFAULT_PRIME = 32003
 SECOND_PRIME = 65521
-
-# largest dot-product length for which float64 accumulation of entries
-# in [0, p) stays below 2^53 and is therefore exact
-_FLOAT_SAFE = {}
 
 
 def matmul_mod(a, b, p):
@@ -28,11 +32,7 @@ def matmul_mod(a, b, p):
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     k = a.shape[-1]
-    limit = _FLOAT_SAFE.get(p)
-    if limit is None:
-        limit = (1 << 53) // ((p - 1) * (p - 1))
-        _FLOAT_SAFE[p] = limit
-    if 0 < k <= limit:
+    if 0 < k <= (1 << 53) // ((p - 1) * (p - 1)):
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return prod.astype(np.int64) % p
     return (a @ b) % p
@@ -49,12 +49,29 @@ def is_prime(n):
     return True
 
 
+def check_modulus(p):
+    """Raise ValueError unless p is a prime below 2^16.
+
+    The bound is tested first, so an oversized modulus is refused
+    before any trial division runs.
+    """
+    if p >= 1 << 16:
+        raise ValueError("modulus %d is not below 2^16" % p)
+    if not is_prime(p):
+        raise ValueError("modulus %d is not prime" % p)
+
+
 class RowSpace:
     """A subspace of F_p^width, kept in reduced row echelon form.
 
     rows[i] has a 1 in column pivots[i] and zeros in every other pivot
-    column, so reducing a vector is one coefficient gather and one
-    matrix product.
+    column, so reducing a block of vectors is one coefficient gather and
+    one matrix product.  ``add_matrix`` takes a whole block at a time:
+    one product reduces it against the span, Gauss-Jordan elimination
+    runs on the nonzero residues alone, and one more product clears the
+    new pivot columns from the old rows.  Pivots are taken in the order
+    the rows are offered, so the echelon form does not depend on how the
+    rows are split into blocks.
     """
 
     def __init__(self, p, width):
@@ -80,28 +97,32 @@ class RowSpace:
 
     def add_matrix(self, mat):
         """Grow the span by the rows of mat; returns how many made it in."""
-        mat = self.reduce_matrix(mat)
-        added = 0
-        for i in range(mat.shape[0]):
-            if added:
-                row = self.reduce_matrix(mat[i : i + 1])[0]
-            else:
-                row = mat[i]
-            nz = np.nonzero(row)[0]
+        p = self.p
+        block = self.reduce_matrix(mat)
+        block = block[block.any(axis=1)]
+        kept, new_pivots = [], []
+        for i in range(block.shape[0]):
+            nz = block[i].nonzero()[0]
             if nz.size == 0:
                 continue
             piv = int(nz[0])
-            row = (row * pow(int(row[piv]), -1, self.p)) % self.p
-            if self.pivots:
-                # clear the new pivot column from the old rows
-                col = self.rows[:, piv]
-                self.rows = (self.rows - np.outer(col, row)) % self.p
-            self.rows = np.vstack([self.rows, row[None, :]])
-            self.pivots.append(piv)
-            added += 1
-            if len(self.pivots) == self.width:
-                break
-        return added
+            row = (block[i] * pow(int(block[i, piv]), -1, p)) % p
+            block[i] = row
+            # only rows with an entry in the pivot column change
+            hit = block[:, piv].nonzero()[0]
+            hit = hit[hit != i]
+            if hit.size:
+                block[hit] = (block[hit] - np.outer(block[hit, piv], row)) % p
+            kept.append(i)
+            new_pivots.append(piv)
+        if not kept:
+            return 0
+        new = block[kept]
+        if self.pivots:
+            self.rows = (self.rows - matmul_mod(self.rows[:, new_pivots], new, p)) % p
+        self.rows = np.vstack([self.rows, new])
+        self.pivots.extend(new_pivots)
+        return len(kept)
 
 
 def rank_of(mat, p):

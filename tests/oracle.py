@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations.
 
-Everything here recomputes semigroup facts from first principles with
-sets, tables, and exhaustive scans, sharing no code with the package.
+Everything here recomputes semigroup facts and ranks over F_p from
+first principles with sets, tables, exhaustive scans and textbook
+elimination on Python integers, sharing no code with the package.
 Slow on purpose; used only to pin expected values and to cross-examine
 the fast paths over enumerated families.
 """
@@ -242,3 +243,23 @@ def enumerate_semigroups(max_genus):
             child = bytearray(table)
             child[n] = 0
             stack.append((genus + 1, n, child))
+
+
+def bf_rank_mod_p(rows, p):
+    """Rank over F_p by textbook Gaussian elimination on lists of ints."""
+    work = [[x % p for x in row] for row in rows]
+    rank = 0
+    width = len(work[0]) if work else 0
+    for col in range(width):
+        src = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if src is None:
+            continue
+        work[rank], work[src] = work[src], work[rank]
+        inv = pow(work[rank][col], p - 2, p)
+        work[rank] = [x * inv % p for x in work[rank]]
+        for i in range(rank + 1, len(work)):
+            c = work[i][col]
+            if c:
+                work[i] = [(x - c * y) % p for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank

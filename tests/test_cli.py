@@ -92,6 +92,7 @@ def test_byte_identical_reruns(capsys):
         ("analyze", ","),
         ("analyze", "3,4,5", "--window-multiplier", "0"),
         ("analyze", "3,4,5", "--approximate", "--primes", "4,6"),
+        ("analyze", "3,4,5", "--approximate", "--primes", "2147483647,65521"),
         ("batch", "/no/such/file"),
     ],
 )

@@ -180,6 +180,34 @@ def test_verify_approximation_argument_checks():
         verify_approximation(H, 6, primes=(32003, 32003))
 
 
+def test_oversized_modulus_refused_before_primality(monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError("is_prime(%d) ran for an oversized modulus" % n)
+
+    monkeypatch.setattr("teter.modp.is_prime", no_trial_division)
+    H = NumericalSemigroup([3, 4, 5])
+    for p in (2**16, 2**31 - 1):
+        with pytest.raises(ValueError, match="2\\^16"):
+            FiberProductRing(H, 6, prime=p)
+    with pytest.raises(ValueError, match="2\\^16"):
+        verify_approximation(H, 6, primes=(2305843009213693951, 65521))
+
+
+@pytest.mark.parametrize(
+    "gens, shift, hilbert",
+    [
+        ((5, 6, 13), 20, (1, 4, 8, 13, 18, 24, 30, 36, 42)),
+        ((5, 6, 7, 8, 9), 10, (1, 6, 12, 18, 24, 30, 36, 42)),
+    ],
+)
+def test_verify_approximation_wider_rings(gens, shift, hilbert):
+    cert = verify_approximation(NumericalSemigroup(list(gens)), shift)
+    assert cert.hilbert == hilbert
+    assert cert.multiplicity == 6
+    assert cert.socle_dim == 1 and cert.gorenstein
+    assert cert.graded_socle_dim == 1
+
+
 def test_power_spaces_shrink(ring345):
     dims = [ring345.width - ring345.hilbert_function(k) for k in range(6)]
     assert dims == sorted(dims, reverse=True)

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from teter import PrecisionTooSmallError
 from teter.modp import (
     DEFAULT_PRIME,
@@ -67,6 +70,46 @@ def test_rowspace_fills_up():
     assert added == 3 and space.dim == 3
     rng = np.random.default_rng(0)
     assert space.add_matrix(rng.integers(0, p, size=(4, 3))) == 0
+
+
+@st.composite
+def block_sequences(draw):
+    """A prime, a width and up to four blocks of at most 40 x 30.
+
+    Entries lean on 0, 1 and p-1 so ranks drop often; every block also
+    carries a zero row and repeats of rows offered before.
+    """
+    p = draw(st.sampled_from([3, 11, 32003, 65521]))
+    width = draw(st.integers(1, 30))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    row = st.lists(entry, min_size=width, max_size=width)
+    seen = []
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        fresh = draw(st.lists(row, min_size=1, max_size=20))
+        seen.extend(fresh)
+        repeats = draw(st.lists(st.sampled_from(seen), max_size=19))
+        block = draw(st.permutations(fresh + repeats + [[0] * width]))
+        blocks.append(np.array(block, dtype=np.int64))
+    return p, width, blocks
+
+
+@given(block_sequences())
+@settings(deadline=None, max_examples=80)
+def test_add_matrix_matches_elimination_oracle(case):
+    p, width, blocks = case
+    space = RowSpace(p, width)
+    offered = []
+    for block in blocks:
+        before = space.dim
+        added = space.add_matrix(block)
+        offered.extend(block.tolist())
+        assert space.dim == oracle.bf_rank_mod_p(offered, p)
+        assert added == space.dim - before
+        assert np.array_equal(
+            space.rows[:, space.pivots], np.eye(space.dim, dtype=np.int64)
+        )
+        assert not space.reduce_matrix(np.array(offered)).any()
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])
