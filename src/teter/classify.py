@@ -6,6 +6,11 @@ its canonical module embeds as a proper ideal J with A/J a hypersurface
 omega are searched, which is sound for a positive answer; a failed
 search with the necessary type condition intact therefore yields
 Unknown, not NotTeter.
+
+``teter_check`` computes each fact once per semigroup: the type
+condition, the tangent-cone verdict (cached on the semigroup, see
+``graded.assoc_graded_is_cm``) and one witness scan.  The Teter witness
+and the strongly-Teter subverdict are both read off that scan.
 """
 
 from dataclasses import dataclass
@@ -103,8 +108,23 @@ class TeterReport:
     strongly: StronglyTeter
 
 
+def _strongly(H, found, cone_cm):
+    # Strongly-Teter subverdict from a witness scan and the cone verdict:
+    # the smallest socle dimension wins, the earliest shift among equals.
+    if not found:
+        return StronglyTeter(STRONGLY_NOT_APPLICABLE)
+    if not cone_cm:
+        return StronglyTeter(STRONGLY_NO, REASON_CONE_NOT_CM)
+    dim, s = min(
+        (socle_dim_mod_xstar(build_graded_model(H, J)), s) for s, J, _ in found
+    )
+    if dim == 1:
+        return StronglyTeter(STRONGLY_YES, None, 1, s)
+    return StronglyTeter(STRONGLY_NO, REASON_SOCLE_DIM, dim, s)
+
+
 def strongly_teter_check(H, window_multiplier=1):
-    """Strongly-Teter subverdict for a non-Gorenstein H.
+    """Strongly-Teter subverdict for a non-Gorenstein H, on its own scan.
 
     NotApplicable without a witness.  With one, a non-CM tangent cone
     settles No; otherwise the socle of the graded witness module is
@@ -112,75 +132,41 @@ def strongly_teter_check(H, window_multiplier=1):
     reaches socle dimension one.  Scanning all shifts matters: the
     graded filtration is shift-sensitive even though the underlying
     approximation ring is not, so a single badly aligned shift can
-    overreport the socle.
+    overreport the socle.  ``teter_check`` derives the same subverdict
+    from its own scan and does not call this.
     """
     if H.is_gorenstein:
         return StronglyTeter(STRONGLY_NOT_APPLICABLE)
-    found = witness_shifts(H, window_multiplier)
-    if not found:
-        return StronglyTeter(STRONGLY_NOT_APPLICABLE)
-    if not assoc_graded_is_cm(H):
-        return StronglyTeter(STRONGLY_NO, REASON_CONE_NOT_CM)
-    best = None
-    for s, J, _ in found:
-        dim = socle_dim_mod_xstar(build_graded_model(H, J))
-        if best is None or dim < best[0]:
-            best = (dim, s)
-    dim, s = best
-    if dim == 1:
-        return StronglyTeter(STRONGLY_YES, None, 1, s)
-    return StronglyTeter(STRONGLY_NO, REASON_SOCLE_DIM, dim, s)
+    return _strongly(H, witness_shifts(H, window_multiplier), assoc_graded_is_cm(H))
 
 
 def teter_check(H, window_multiplier=1):
-    """Full classification of k[[H]]."""
-    if H.is_gorenstein:
-        report = TeterReport(
-            H,
-            VERDICT_GORENSTEIN,
-            None,
-            type_condition(H),
-            assoc_graded_is_cm(H),
-            None,
-            StronglyTeter(STRONGLY_NOT_APPLICABLE),
-        )
-        return _validated(report)
+    """Full classification of k[[H]] in one pass.
 
+    The cone verdict, the type condition and the witness scan run once
+    each; the witness (the last shift found) and the strongly-Teter
+    subverdict are both read off that one scan.
+    """
     cone_cm = assoc_graded_is_cm(H)
     type_ok = type_condition(H)
-    if not type_ok:
-        report = TeterReport(
-            H,
-            VERDICT_NOT_TETER,
-            REASON_TYPE_BOUND,
-            False,
-            cone_cm,
-            None,
-            StronglyTeter(STRONGLY_NOT_APPLICABLE),
+    found, reason = [], None
+    if H.is_gorenstein:
+        verdict = VERDICT_GORENSTEIN
+    elif not type_ok:
+        verdict, reason = VERDICT_NOT_TETER, REASON_TYPE_BOUND
+    else:
+        found = witness_shifts(H, window_multiplier)
+        verdict = VERDICT_TETER if found else VERDICT_UNKNOWN
+    witness = None
+    if found:
+        s, J, data = found[-1]
+        witness = WitnessData(
+            s, data.cyclic_generator, data.cyclic_length, J.generators, data.cobasis
         )
-        return _validated(report)
-
-    hit = monomial_teter_witness(H, window_multiplier)
-    if hit is None:
-        report = TeterReport(
-            H,
-            VERDICT_UNKNOWN,
-            None,
-            True,
-            cone_cm,
-            None,
-            StronglyTeter(STRONGLY_NOT_APPLICABLE),
-        )
-        return _validated(report)
-
-    s, data = hit
-    J = canonical_ideal(H).shift(s)
-    witness = WitnessData(
-        s, data.cyclic_generator, data.cyclic_length, J.generators, data.cobasis
+    strongly = _strongly(H, found, cone_cm)
+    return _validated(
+        TeterReport(H, verdict, reason, type_ok, cone_cm, witness, strongly)
     )
-    strongly = strongly_teter_check(H, window_multiplier)
-    report = TeterReport(H, VERDICT_TETER, None, True, cone_cm, witness, strongly)
-    return _validated(report)
 
 
 def _validated(report):

@@ -40,11 +40,22 @@ from .modp import (
     DEFAULT_PRIME,
     SECOND_PRIME,
     RowSpace,
-    TruncatedSeries,
     check_modulus,
     matmul_mod,
     rank_of,
 )
+
+
+# Widest model a FiberProductRing builds: dense memory grows as width^2 and
+# time as width^3 (width 597: 25 s and 395 MB for <3,4,5> on a 2-core VM).
+MAX_WIDTH = 600
+
+
+def _check_width(width):
+    if width > MAX_WIDTH:
+        raise ValueError(
+            "model width %d exceeds %d; lower the precision" % (width, MAX_WIDTH)
+        )
 
 
 def default_precision(semigroup):
@@ -91,6 +102,9 @@ class FiberProductRing:
                 "precision %d is below the floor %d for this input"
                 % (precision, floor)
             )
+
+        # members up to N > F, plus tails c..N: known before listing them
+        _check_width(2 * (precision + 1) - semigroup.genus - data.cyclic_length)
 
         self.semigroup = semigroup
         self.shift = shift
@@ -152,22 +166,6 @@ class FiberProductRing:
             if self.cyclic_length <= part <= self.precision:
                 out.append(self._u_index[part])
         return out
-
-    def basis_pair(self, i):
-        """The basis element as an honest pair of truncated series."""
-        p, n = self.prime, self.precision
-        t_side = TruncatedSeries(p, n)
-        u_side = TruncatedSeries(p, n)
-        nt = len(self.t_exponents)
-        if i < nt:
-            h = self.t_exponents[i]
-            t_side = TruncatedSeries.monomial(p, n, h)
-            if h in self._matched:
-                part = h // self.cyclic_generator if h else 0
-                u_side = TruncatedSeries.monomial(p, n, part)
-        else:
-            u_side = TruncatedSeries.monomial(p, n, self.u_exponents[i - nt])
-        return t_side, u_side
 
     def _basis_matrix(self, i):
         m = self._basis_matrices.get(i)
@@ -345,22 +343,6 @@ class FiberProductRing:
             total += annihilated - dims[min(k + 1, top)]
         return total
 
-    def kernel_profile(self, depth):
-        """Lengths of K/(m^k K) for the kernel K of the t-side projection."""
-        p, w = self.prime, self.width
-        nt = len(self.t_exponents)
-        total = w - nt
-        cur = np.zeros((total, w), dtype=np.int64)
-        cur[np.arange(total), nt + np.arange(total)] = 1
-        out = []
-        for _ in range(depth):
-            nxt = RowSpace(p, w)
-            for m in self._gen_matrices:
-                nxt.add_matrix(matmul_mod(cur, m, p))
-            out.append(total - nxt.dim)
-            cur = nxt.rows
-        return out
-
 
 def build_approximation(semigroup, shift, precision=None, prime=DEFAULT_PRIME):
     """Validated constructor; see FiberProductRing."""
@@ -405,6 +387,7 @@ def verify_approximation(
     step = 2 * max(semigroup.generators)
     base = FiberProductRing(semigroup, shift, precision=precision, prime=primes[0])
     n0 = base.precision
+    _check_width(base.width + 2 * step)  # the larger precision, refused up front
     cap = n0 // max(semigroup.generators) - 1
 
     runs = []

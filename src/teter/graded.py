@@ -32,8 +32,12 @@ def assoc_graded_is_cm(H):
     criteria are evaluated: one deep probe per Apery class of e, and a
     defensive single-step scan over the whole stabilization window.
     They agree on all inputs; a disagreement is an internal error, not
-    a property of the semigroup.
+    a property of the semigroup.  Both run once per semigroup: the
+    verdict is kept on the instance, so later calls (from
+    ``build_graded_model``, say) cost nothing.
     """
+    if H._cone_cm is not None:
+        return H._cone_cm
     if H.embedding_dimension == 1:
         return True
     e = H.multiplicity
@@ -55,6 +59,7 @@ def assoc_graded_is_cm(H):
             "tangent cone criteria disagree for %r (probe %r, scan %r)"
             % (H, fast, slow)
         )
+    H._cone_cm = fast
     return fast
 
 

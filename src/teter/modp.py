@@ -1,4 +1,4 @@
-"""Exact linear algebra and truncated series over a prime field.
+"""Exact linear algebra over a prime field.
 
 Everything the approximation engine asks is a rank question over F_p.
 Matrices are dense int64 numpy arrays with entries in [0, p).  The
@@ -15,8 +15,6 @@ algebra over word-size prime fields", ACM TOMS 2008).
 """
 
 import numpy as np
-
-from .errors import PrecisionTooSmallError
 
 DEFAULT_PRIME = 32003
 SECOND_PRIME = 65521
@@ -129,84 +127,3 @@ def rank_of(mat, p):
     space = RowSpace(p, np.asarray(mat).shape[1])
     space.add_matrix(mat)
     return space.dim
-
-
-class TruncatedSeries:
-    """Power series over F_p with exponents 0..precision, exact or loud.
-
-    Addition is always exact.  Multiplication refuses (raises) whenever
-    the true product could stick out past the precision, instead of
-    truncating silently; that keeps every computed coefficient honest.
-    """
-
-    def __init__(self, p, precision, coeffs=None):
-        self.p = p
-        self.precision = precision
-        if coeffs is None:
-            self.coeffs = np.zeros(precision + 1, dtype=np.int64)
-        else:
-            self.coeffs = np.asarray(coeffs, dtype=np.int64) % p
-            if self.coeffs.shape != (precision + 1,):
-                raise ValueError("coefficient vector must have length precision+1")
-
-    @classmethod
-    def monomial(cls, p, precision, exponent, coeff=1):
-        if not 0 <= exponent <= precision:
-            raise PrecisionTooSmallError(
-                "exponent %d outside precision %d" % (exponent, precision)
-            )
-        s = cls(p, precision)
-        s.coeffs[exponent] = coeff % p
-        return s
-
-    def _check_compatible(self, other):
-        if self.p != other.p or self.precision != other.precision:
-            raise ValueError("series live in different arithmetic")
-
-    def top_exponent(self):
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if nz.size else -1
-
-    def is_zero(self):
-        return not self.coeffs.any()
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return TruncatedSeries(self.p, self.precision, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return TruncatedSeries(self.p, self.precision, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return TruncatedSeries(self.p, self.precision, -self.coeffs)
-
-    def scale(self, c):
-        return TruncatedSeries(self.p, self.precision, self.coeffs * (c % self.p))
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        top = self.top_exponent() + other.top_exponent()
-        if top > self.precision:
-            raise PrecisionTooSmallError(
-                "product reaches exponent %d beyond precision %d"
-                % (top, self.precision)
-            )
-        if self.is_zero() or other.is_zero():
-            return TruncatedSeries(self.p, self.precision)
-        full = np.convolve(self.coeffs, other.coeffs) % self.p
-        return TruncatedSeries(self.p, self.precision, full[: self.precision + 1])
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.precision == other.precision
-            and bool(np.array_equal(self.coeffs, other.coeffs))
-        )
-
-    def __repr__(self):
-        terms = ["%d*x^%d" % (c, i) for i, c in enumerate(self.coeffs) if c]
-        body = " + ".join(terms) if terms else "0"
-        return "TruncatedSeries(%s mod %d)" % (body, self.p)

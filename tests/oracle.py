@@ -4,10 +4,14 @@ Everything here recomputes semigroup facts and ranks over F_p from
 first principles with sets, tables, exhaustive scans and textbook
 elimination on Python integers, sharing no code with the package.
 Slow on purpose; used only to pin expected values and to cross-examine
-the fast paths over enumerated families.
+the fast paths over enumerated families.  The fiber-product helpers at
+the end are the exception: they view a ring built by the package.
 """
 
 import numpy as np
+
+from teter import PrecisionTooSmallError
+from teter.modp import RowSpace, matmul_mod
 
 
 def bf_member_table(gens, size):
@@ -263,3 +267,130 @@ def bf_rank_mod_p(rows, p):
                 work[i] = [(x - c * y) % p for x, y in zip(work[i], work[rank])]
         rank += 1
     return rank
+
+
+# -- the fiber-product model, seen from outside ------------------------------
+#
+# Test-only views of a FiberProductRing.  TruncatedSeries is an
+# independent series arithmetic; basis_pair reads only a ring's public
+# exponent lists and cyclic data, so products of the pairs check
+# basis_product; kernel_profile reuses the package's RowSpace.
+
+
+class TruncatedSeries:
+    """Power series over F_p with exponents 0..precision, exact or loud.
+
+    Addition is always exact.  Multiplication refuses (raises) whenever
+    the true product could stick out past the precision, instead of
+    truncating silently; that keeps every computed coefficient honest.
+    """
+
+    def __init__(self, p, precision, coeffs=None):
+        self.p = p
+        self.precision = precision
+        if coeffs is None:
+            self.coeffs = np.zeros(precision + 1, dtype=np.int64)
+        else:
+            self.coeffs = np.asarray(coeffs, dtype=np.int64) % p
+            if self.coeffs.shape != (precision + 1,):
+                raise ValueError("coefficient vector must have length precision+1")
+
+    @classmethod
+    def monomial(cls, p, precision, exponent, coeff=1):
+        if not 0 <= exponent <= precision:
+            raise PrecisionTooSmallError(
+                "exponent %d outside precision %d" % (exponent, precision)
+            )
+        s = cls(p, precision)
+        s.coeffs[exponent] = coeff % p
+        return s
+
+    def _check_compatible(self, other):
+        if self.p != other.p or self.precision != other.precision:
+            raise ValueError("series live in different arithmetic")
+
+    def top_exponent(self):
+        nz = np.nonzero(self.coeffs)[0]
+        return int(nz[-1]) if nz.size else -1
+
+    def is_zero(self):
+        return not self.coeffs.any()
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return TruncatedSeries(self.p, self.precision, self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return TruncatedSeries(self.p, self.precision, self.coeffs - other.coeffs)
+
+    def __neg__(self):
+        return TruncatedSeries(self.p, self.precision, -self.coeffs)
+
+    def scale(self, c):
+        return TruncatedSeries(self.p, self.precision, self.coeffs * (c % self.p))
+
+    def __mul__(self, other):
+        self._check_compatible(other)
+        top = self.top_exponent() + other.top_exponent()
+        if top > self.precision:
+            raise PrecisionTooSmallError(
+                "product reaches exponent %d beyond precision %d"
+                % (top, self.precision)
+            )
+        if self.is_zero() or other.is_zero():
+            return TruncatedSeries(self.p, self.precision)
+        full = np.convolve(self.coeffs, other.coeffs) % self.p
+        return TruncatedSeries(self.p, self.precision, full[: self.precision + 1])
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return (
+            self.p == other.p
+            and self.precision == other.precision
+            and bool(np.array_equal(self.coeffs, other.coeffs))
+        )
+
+    def __repr__(self):
+        terms = ["%d*x^%d" % (c, i) for i, c in enumerate(self.coeffs) if c]
+        body = " + ".join(terms) if terms else "0"
+        return "TruncatedSeries(%s mod %d)" % (body, self.p)
+
+
+def basis_pair(ring, i):
+    """Basis element i of ring as an honest pair of truncated series."""
+    p, n = ring.prime, ring.precision
+    g, c = ring.cyclic_generator, ring.cyclic_length
+    # A/J has the monomial basis 1, t^g, ..., t^((c-1)g)
+    matched = {0} if g is None else {k * g for k in range(c)}
+    t_side = TruncatedSeries(p, n)
+    u_side = TruncatedSeries(p, n)
+    nt = len(ring.t_exponents)
+    if i < nt:
+        h = ring.t_exponents[i]
+        t_side = TruncatedSeries.monomial(p, n, h)
+        if h in matched:
+            part = h // g if h else 0
+            u_side = TruncatedSeries.monomial(p, n, part)
+    else:
+        u_side = TruncatedSeries.monomial(p, n, ring.u_exponents[i - nt])
+    return t_side, u_side
+
+
+def kernel_profile(ring, depth):
+    """Lengths of K/(m^k K) for the kernel K of the t-side projection."""
+    p, w = ring.prime, ring.width
+    unit = np.eye(w, dtype=np.int64)
+    gens = [ring.mult_matrix(unit[i]) for i in ring.generator_indices]
+    nt = len(ring.t_exponents)
+    total = w - nt
+    cur = unit[nt:]
+    out = []
+    for _ in range(depth):
+        nxt = RowSpace(p, w)
+        for m in gens:
+            nxt.add_matrix(matmul_mod(cur, m, p))
+        out.append(total - nxt.dim)
+        cur = nxt.rows
+    return out

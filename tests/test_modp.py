@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from oracle import TruncatedSeries
 from teter import PrecisionTooSmallError
 from teter.modp import (
     DEFAULT_PRIME,
     SECOND_PRIME,
     RowSpace,
-    TruncatedSeries,
     is_prime,
     matmul_mod,
     rank_of,
