@@ -64,20 +64,19 @@ def witness_shifts(H, window_multiplier=1):
     return found
 
 
-def monomial_teter_witness(H, window_multiplier=1):
-    """Largest valid witness shift with its quotient data, or None.
+def _reported(found):
+    # Several shifts can qualify, with different cyclic data; the largest
+    # is reported because it is the one whose ideal generators are the
+    # absorbed semigroup generators themselves, and the choice is pinned
+    # by the reference examples.  All valid shifts are equally usable
+    # downstream.
+    return found[-1] if found else (None, None, None)
 
-    Several shifts can qualify, with different cyclic data; the largest
-    is reported because it is the one whose ideal generators are the
-    absorbed semigroup generators themselves, and the choice is pinned
-    by the reference examples.  All valid shifts are equally usable
-    downstream.
-    """
-    found = witness_shifts(H, window_multiplier)
-    if not found:
-        return None
-    s, _, data = found[-1]
-    return s, data
+
+def monomial_teter_witness(H, window_multiplier=1):
+    """Largest valid witness shift with its quotient data, or None."""
+    s, _, data = _reported(witness_shifts(H, window_multiplier))
+    return None if s is None else (s, data)
 
 
 @dataclass(frozen=True)
@@ -157,12 +156,10 @@ def teter_check(H, window_multiplier=1):
     else:
         found = witness_shifts(H, window_multiplier)
         verdict = VERDICT_TETER if found else VERDICT_UNKNOWN
-    witness = None
-    if found:
-        s, J, data = found[-1]
-        witness = WitnessData(
-            s, data.cyclic_generator, data.cyclic_length, J.generators, data.cobasis
-        )
+    s, J, data = _reported(found)
+    witness = None if s is None else WitnessData(
+        s, data.cyclic_generator, data.cyclic_length, J.generators, data.cobasis
+    )
     strongly = _strongly(H, found, cone_cm)
     return _validated(
         TeterReport(H, verdict, reason, type_ok, cone_cm, witness, strongly)

@@ -51,18 +51,26 @@ from .modp import (
 MAX_WIDTH = 600
 
 
-def _check_width(width):
-    if width > MAX_WIDTH:
-        raise ValueError(
-            "model width %d exceeds %d; lower the precision" % (width, MAX_WIDTH)
-        )
-
-
 def default_precision(semigroup):
     """Default exponent cutoff: generous enough for every length below."""
     return 4 * (
         semigroup.frobenius + semigroup.multiplicity + max(semigroup.generators)
     )
+
+
+def _check_width(semigroup, cyclic_length, floor, precision, sweep=0):
+    # The model lists the members up to N > F and the tails c..N, so its
+    # width 2(N + 1) - genus - c is known before anything is listed; a
+    # verification sweep also builds the model at precision + sweep.
+    top = (MAX_WIDTH - 2 + semigroup.genus + cyclic_length) // 2 - sweep
+    if precision > top:
+        hint = "the semigroup is too large to approximate"
+        if floor <= top:
+            hint = "use a precision of at most %d" % top
+        raise ValueError(
+            "precision %d needs a model wider than %d; %s"
+            % (precision, MAX_WIDTH, hint)
+        )
 
 
 class FiberProductRing:
@@ -102,9 +110,7 @@ class FiberProductRing:
                 "precision %d is below the floor %d for this input"
                 % (precision, floor)
             )
-
-        # members up to N > F, plus tails c..N: known before listing them
-        _check_width(2 * (precision + 1) - semigroup.genus - data.cyclic_length)
+        _check_width(semigroup, data.cyclic_length, floor, precision)
 
         self.semigroup = semigroup
         self.shift = shift
@@ -385,9 +391,13 @@ def verify_approximation(
         check_modulus(p)
 
     step = 2 * max(semigroup.generators)
-    base = FiberProductRing(semigroup, shift, precision=precision, prime=primes[0])
-    n0 = base.precision
-    _check_width(base.width + 2 * step)  # the larger precision, refused up front
+    # the ring at the floor (nothing computed yet) gives the quotient length,
+    # so the sweep's larger precision is refused before anything is computed
+    base = FiberProductRing(semigroup, shift, prime=primes[0])
+    n0 = base.precision if precision is None else precision
+    _check_width(semigroup, base.cyclic_length, base.precision, n0, step)
+    if n0 != base.precision:
+        base = FiberProductRing(semigroup, shift, precision=n0, prime=primes[0])
     cap = n0 // max(semigroup.generators) - 1
 
     runs = []

@@ -33,10 +33,10 @@ def assoc_graded_is_cm(H):
     defensive single-step scan over the whole stabilization window.
     They agree on all inputs; a disagreement is an internal error, not
     a property of the semigroup.  Both run once per semigroup: the
-    verdict is kept on the instance, so later calls (from
-    ``build_graded_model``, say) cost nothing.
+    verdict is kept on the instance (as ``_cone_cm``, set only here),
+    so later calls (from ``build_graded_model``, say) cost nothing.
     """
-    if H._cone_cm is not None:
+    if "_cone_cm" in vars(H):
         return H._cone_cm
     if H.embedding_dimension == 1:
         return True

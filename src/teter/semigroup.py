@@ -9,6 +9,7 @@ invariants everything downstream cares about.
 
 import math
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
     CrossCheckError,
@@ -48,9 +49,11 @@ class NumericalSemigroup:
             )
 
         e = gens[0]
-        # Schur's bound puts the Frobenius number below (e-1)(max-1), so
-        # a table up to e*max + max reaches past it.
-        bound = e * gens[-1] + gens[-1]
+        # Schur's bound puts the Frobenius number below (e-1)(g-1) for the
+        # first g where the generators up to g are coprime; larger ones only
+        # add members, so a table up to e*g + g reaches past it.
+        g = next(g for g, d in zip(gens, accumulate(gens, math.gcd)) if d == 1)
+        bound = e * g + g
         _check_table(bound + 1, "membership")
         member = bytearray(bound + 1)
         member[0] = 1
@@ -82,7 +85,6 @@ class NumericalSemigroup:
                 minimal.append(h)
         self.generators = tuple(minimal)
         self._ord = [0]  # ord table, grown on demand
-        self._cone_cm = None  # tangent-cone verdict, see graded.assoc_graded_is_cm
 
     @property
     def multiplicity(self):

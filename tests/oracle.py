@@ -272,9 +272,10 @@ def bf_rank_mod_p(rows, p):
 # -- the fiber-product model, seen from outside ------------------------------
 #
 # Test-only views of a FiberProductRing.  TruncatedSeries is an
-# independent series arithmetic; basis_pair reads only a ring's public
-# exponent lists and cyclic data, so products of the pairs check
-# basis_product; kernel_profile reuses the package's RowSpace.
+# independent series arithmetic; basis_pair reads a ring's exponent lists
+# and the matched set that basis_product uses, so products of the pairs
+# check basis_product and the matching condition checks the matched set;
+# kernel_profile reuses the package's RowSpace.
 
 
 class TruncatedSeries:
@@ -361,17 +362,14 @@ class TruncatedSeries:
 def basis_pair(ring, i):
     """Basis element i of ring as an honest pair of truncated series."""
     p, n = ring.prime, ring.precision
-    g, c = ring.cyclic_generator, ring.cyclic_length
-    # A/J has the monomial basis 1, t^g, ..., t^((c-1)g)
-    matched = {0} if g is None else {k * g for k in range(c)}
     t_side = TruncatedSeries(p, n)
     u_side = TruncatedSeries(p, n)
     nt = len(ring.t_exponents)
     if i < nt:
         h = ring.t_exponents[i]
         t_side = TruncatedSeries.monomial(p, n, h)
-        if h in matched:
-            part = h // g if h else 0
+        if h in ring._matched:
+            part = h // ring.cyclic_generator if h else 0
             u_side = TruncatedSeries.monomial(p, n, part)
     else:
         u_side = TruncatedSeries.monomial(p, n, ring.u_exponents[i - nt])
@@ -381,15 +379,14 @@ def basis_pair(ring, i):
 def kernel_profile(ring, depth):
     """Lengths of K/(m^k K) for the kernel K of the t-side projection."""
     p, w = ring.prime, ring.width
-    unit = np.eye(w, dtype=np.int64)
-    gens = [ring.mult_matrix(unit[i]) for i in ring.generator_indices]
     nt = len(ring.t_exponents)
     total = w - nt
-    cur = unit[nt:]
+    cur = np.zeros((total, w), dtype=np.int64)
+    cur[np.arange(total), nt + np.arange(total)] = 1
     out = []
     for _ in range(depth):
         nxt = RowSpace(p, w)
-        for m in gens:
+        for m in ring._gen_matrices:
             nxt.add_matrix(matmul_mod(cur, m, p))
         out.append(total - nxt.dim)
         cur = nxt.rows

@@ -1,7 +1,10 @@
 """Oversized inputs are refused before their tables or matrices exist."""
 
+import re
+
 import pytest
 
+import teter.fiber
 import teter.semigroup
 from teter import FiberProductRing, NumericalSemigroup, verify_approximation
 from teter.fiber import MAX_WIDTH
@@ -17,6 +20,13 @@ def test_membership_table_refused_before_allocation(monkeypatch):
             NumericalSemigroup(gens)
 
 
+def test_large_redundant_generators_do_not_size_the_table():
+    # the table is sized by the first coprime prefix, here <2,3> and <3,4>
+    assert NumericalSemigroup([2, 3, 2000000]).generators == (2, 3)
+    assert NumericalSemigroup([3, 4, 5, 400000]).generators == (3, 4, 5)
+    assert NumericalSemigroup([2000000, 2, 3, 10**12]).generators == (2, 3)
+
+
 def test_ord_table_stays_under_the_limit(monkeypatch):
     monkeypatch.setattr(teter.semigroup, "MAX_TABLE", 1000)
     H = NumericalSemigroup([3, 4, 5])
@@ -29,7 +39,8 @@ def test_ord_table_stays_under_the_limit(monkeypatch):
     assert len(H._ord) == 1000
 
 
-def test_model_width_refused_before_the_exponent_lists(monkeypatch):
+@pytest.fixture
+def no_large_lists(monkeypatch):
     members_up_to = NumericalSemigroup.members_up_to
 
     def small_only(self, n):
@@ -37,14 +48,39 @@ def test_model_width_refused_before_the_exponent_lists(monkeypatch):
         return members_up_to(self, n)
 
     monkeypatch.setattr(NumericalSemigroup, "members_up_to", small_only)
+
+
+def test_model_width_refused_before_the_exponent_lists(no_large_lists):
     H = NumericalSemigroup([3, 4, 5])
     # <3,4,5> has genus 2 and the quotient at shift 6 has length 3, so
     # precision N gives width 2N - 3
     top = (MAX_WIDTH + 3) // 2
     assert FiberProductRing(H, 6, precision=top).width == 2 * top - 3
     for precision in (top + 1, 100_000, 10**12):
-        with pytest.raises(ValueError, match="width"):
+        with pytest.raises(ValueError, match="precision of at most %d" % top):
             FiberProductRing(H, 6, precision=precision)
-    # the sweep's second, larger precision is refused up front as well
-    with pytest.raises(ValueError, match="width"):
+    # the sweep's second precision is 10 higher, refused up front as well
+    with pytest.raises(ValueError, match="precision of at most %d" % (top - 10)):
         verify_approximation(H, 6, precision=top)
+
+
+def test_semigroup_too_large_for_any_precision(no_large_lists):
+    # the floor alone gives a model wider than the limit
+    H = NumericalSemigroup([3, 50, 52])
+    s = teter.monomial_teter_witness(H)[0]
+    with pytest.raises(ValueError, match="too large to approximate"):
+        FiberProductRing(H, s)
+    with pytest.raises(ValueError, match="too large to approximate"):
+        verify_approximation(H, s)
+
+
+def test_advised_precision_is_accepted(monkeypatch):
+    # with a small limit the advised precision is cheap to run
+    monkeypatch.setattr(teter.fiber, "MAX_WIDTH", 100)
+    H = NumericalSemigroup([3, 4, 5])
+    with pytest.raises(ValueError, match="at most") as refused:
+        verify_approximation(H, 6, precision=200)
+    n = int(re.search(r"at most (\d+)", str(refused.value)).group(1))
+    assert verify_approximation(H, 6, precision=n).precisions_checked == (n, n + 10)
+    with pytest.raises(ValueError, match="at most %d" % n):
+        verify_approximation(H, 6, precision=n + 1)
