@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, GorensteinInputError
 from .graded import assoc_graded_is_cm, build_graded_model, socle_dim_mod_xstar
 from .ideals import canonical_ideal, quotient_data
-from .semigroup import NumericalSemigroup
+from .semigroup import MAX_TABLE, NumericalSemigroup
 
 VERDICT_GORENSTEIN = "Gorenstein"
 VERDICT_TETER = "Teter"
@@ -47,20 +47,26 @@ def witness_shifts(H, window_multiplier=1):
     For the default multiplier the window is exact: J must absorb at
     least two minimal generators (embedding dimension of a
     non-Gorenstein semigroup is at least 3), and n in J forces
-    s <= n + F.  Returns (shift, ideal, quotient data) triples.
+    s <= n + F.  A window of more than ``MAX_TABLE`` shifts is refused
+    with ValueError.  Returns (shift, ideal, quotient data) triples.
     """
     if H.is_gorenstein:
         raise GorensteinInputError("%r is Gorenstein" % (H,))
     omega = canonical_ideal(H)
     top = window_multiplier * (H.generators[-1] + H.frobenius)
+    shifts = range(H.frobenius, top + 1)
+    if len(shifts) > MAX_TABLE:
+        raise ValueError(
+            "scan window of %d shifts exceeds %d" % (len(shifts), MAX_TABLE)
+        )
     found = []
-    for s in range(H.frobenius, top + 1):
+    for s in shifts:
         J = omega.shift(s)
-        if not J.is_proper_ideal():
+        # A/J is a hypersurface iff at most one minimal generator lies
+        # outside J (quotient_data's mu); most shifts fail that cheaply
+        if not J.is_proper_ideal() or sum(n not in J for n in H.generators) > 1:
             continue
-        data = quotient_data(H, J)
-        if data.mu <= 1:
-            found.append((s, J, data))
+        found.append((s, J, quotient_data(H, J)))
     return found
 
 

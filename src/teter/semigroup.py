@@ -5,11 +5,17 @@ integers with finite complement.  The complement elements are the gaps,
 the largest gap is the Frobenius number (taken to be -1 when there are
 no gaps), and the monoid ring k[[t^h : h in H]] is the local ring whose
 invariants everything downstream cares about.
+
+Everything rests on the Apery set of the multiplicity e: the least
+member in each residue class mod e, found by shortest paths over the
+residues (Nijenhuis, "A minimal-path algorithm for the money changing
+problem", 1979).  Membership is n >= Ap[n mod e], the Frobenius number
+is max Ap - e, and the gaps and minimal generators are read off it.
 """
 
+import heapq
 import math
 from functools import cached_property
-from itertools import accumulate
 
 from .errors import (
     CrossCheckError,
@@ -18,8 +24,9 @@ from .errors import (
     NotAMemberError,
 )
 
-# Largest membership or ord table a semigroup builds; larger ones are refused
-# before allocation (10^6 entries: about 16 s and 121 MB in teter_check).
+# Largest shortest-path search, gap list, ord table or witness-shift window;
+# larger ones are refused before allocation (an ord table of 10^6 entries
+# takes about 16 s and 121 MB in teter_check).
 MAX_TABLE = 1_000_000
 
 
@@ -49,40 +56,32 @@ class NumericalSemigroup:
             )
 
         e = gens[0]
-        # Schur's bound puts the Frobenius number below (e-1)(g-1) for the
-        # first g where the generators up to g are coprime; larger ones only
-        # add members, so a table up to e*g + g reaches past it.
-        g = next(g for g, d in zip(gens, accumulate(gens, math.gcd)) if d == 1)
-        bound = e * g + g
-        _check_table(bound + 1, "membership")
-        member = bytearray(bound + 1)
-        member[0] = 1
-        for h in range(e, bound + 1):
-            for g in gens:
-                if g > h:
-                    break
-                if member[h - g]:
-                    member[h] = 1
-                    break
+        # Dijkstra over the residues mod e: each residue is settled once
+        # and pushes at most one heap entry per generator
+        _check_table(e * len(gens), "shortest-path")
+        apery = [0] + [None] * (e - 1)
+        heap = [(0, 0)]
+        while heap:
+            d, r = heapq.heappop(heap)
+            if d > apery[r]:
+                continue
+            for g in gens[1:]:
+                nd, nr = d + g, (r + g) % e
+                if apery[nr] is None or nd < apery[nr]:
+                    apery[nr] = nd
+                    heapq.heappush(heap, (nd, nr))
+        self._apery = apery
 
-        # the table runs past the Frobenius number (Schur's bound), so its
-        # last zero is the largest gap
-        self.frobenius = member.rfind(0)
-        self.gaps = tuple(h for h in range(1, self.frobenius + 1) if not member[h])
-        self._member = member
+        self.frobenius = max(apery) - e
+        _check_table(self.frobenius + 1, "gap")
+        self.gaps = tuple(h for h in range(1, self.frobenius + 1) if h < apery[h % e])
 
-        if self.frobenius < 0:
-            minimal = [1]
-        else:
-            # h is a minimal generator iff it is not (smaller minimal
-            # generator) + (nonzero member); all of them lie in [e, F+e].
-            minimal = []
-            for h in range(e, self.frobenius + e + 1):
-                if not member[h]:
-                    continue
-                if any(h > g and member[h - g] for g in minimal):
-                    continue
-                minimal.append(h)
+        # Every minimal generator but e is a nonzero Apery element, and
+        # a member is not minimal iff it is some input generator plus a
+        # nonzero member.
+        minimal = [e] + sorted(
+            w for w in apery[1:] if not any(w > g and w - g in self for g in gens)
+        )
         self.generators = tuple(minimal)
         self._ord = [0]  # ord table, grown on demand
 
@@ -103,11 +102,8 @@ class NumericalSemigroup:
         return self.frobenius + 1
 
     def contains(self, n):
-        if n < 0:
-            return False
-        if n > self.frobenius:
-            return True
-        return bool(self._member[n])
+        apery = self._apery
+        return n >= apery[n % len(apery)]
 
     __contains__ = contains
 
@@ -168,32 +164,28 @@ class NumericalSemigroup:
 
         ord(0) = 0, ord(generator) = 1; grows roughly like h/max(gens).
         """
-        if h not in self:
-            raise NotAMemberError("%r is not a member" % (h,))
-        self._ensure_ord(h)
-        return self._ord[h]
+        if h >= 0:
+            self._ensure_ord(h)
+            if self._ord[h] >= 0:
+                return self._ord[h]
+        raise NotAMemberError("%r is not a member" % (h,))
 
     def _ensure_ord(self, n):
+        # grows the table through index n, no further; a non-member has
+        # only non-member predecessors, so it gets -1
         table = self._ord
         if n < len(table):
             return
         _check_table(n + 1, "ord")
-        # initial bound per design: 2(F + maxgen + e); doubled on demand, capped
-        target = max(
-            n,
-            2 * len(table),
-            2 * (self.frobenius + self.generators[-1] + self.multiplicity),
-        )
-        target = min(target, MAX_TABLE - 1)
         gens = self.generators
-        for h in range(len(table), target + 1):
+        for h in range(len(table), n + 1):
             best = -1
-            if h in self:
-                for g in gens:
-                    if g <= h:
-                        prev = table[h - g]
-                        if prev >= best:
-                            best = prev
+            for g in gens:
+                if g > h:
+                    break
+                prev = table[h - g]
+                if prev > best:
+                    best = prev
             table.append(best + 1 if best >= 0 else -1)
 
     def __eq__(self, other):

@@ -9,6 +9,7 @@ from teter import (
     type_condition,
     witness_shifts,
 )
+from teter import classify
 
 
 def test_type_condition():
@@ -51,6 +52,24 @@ def test_wider_window_finds_nothing_new():
     for gens in ([3, 4, 5], [4, 5, 11], [4, 5, 6, 7]):
         H = NumericalSemigroup(gens)
         assert monomial_teter_witness(H, 3) == monomial_teter_witness(H)
+
+
+def test_quotient_data_runs_once_per_certifying_shift(monkeypatch):
+    # a shift leaving two minimal generators outside J cannot certify and
+    # is skipped before quotient_data, so a wide window stays cheap
+    calls = []
+    quotient_data = classify.quotient_data
+
+    def counting_quotient_data(H, J):
+        calls.append(J)
+        return quotient_data(H, J)
+
+    monkeypatch.setattr(classify, "quotient_data", counting_quotient_data)
+    found = witness_shifts(NumericalSemigroup([4, 5, 6, 7]))
+    assert [J for _, J, _ in found] == calls and len(calls) == 2
+    calls.clear()
+    assert witness_shifts(NumericalSemigroup([107, 110, 136]), 3) == []
+    assert calls == []
 
 
 def test_no_witness_means_none():

@@ -94,10 +94,11 @@ def test_byte_identical_reruns(capsys):
         ("analyze", "3,4,5", "--approximate", "--primes", "4,6"),
         ("analyze", "3,4,5", "--approximate", "--primes", "2147483647,65521"),
         ("batch", "/no/such/file"),
-        ("analyze", "2,100000000001"),  # membership table too large
+        ("analyze", "2,100000000001"),  # too many gaps to list
         ("analyze", "2,20000001"),
         ("analyze", "3,4,5", "--approximate", "--precision", "100000"),
         ("analyze", "3,4,5", "--approximate", "--precision", "1000000000000"),
+        ("analyze", "3,4,5", "--window-multiplier", "1000000000"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -1,0 +1,39 @@
+"""`analyze --json --no-timings` output stays byte-identical.
+
+The files under `golden/` hold the output recorded before the
+semigroup core was rebuilt on the Apéry set; any change to a verdict,
+an invariant, a witness or a certificate shows up as a diff here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from teter.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [
+    ("3,4,5",),
+    ("4,5,11",),
+    ("4,5,6,7",),
+    ("5,6,7,9",),
+    ("3,4",),
+    ("107,110,136",),
+    ("3,4,5", "--approximate"),
+]
+
+
+def _golden_name(case):
+    name = "analyze-" + case[0].replace(",", "-")
+    if "--approximate" in case:
+        name += "-approximate"
+    return name + ".json"
+
+
+@pytest.mark.parametrize("case", CASES, ids=_golden_name)
+def test_analyze_output_matches_golden(capsys, case):
+    gens, *flags = case
+    assert main(["analyze", gens, "--json", "--no-timings", *flags]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / _golden_name(case)).read_text()

@@ -9,6 +9,7 @@ from teter import (
     canonical_ideal,
     socle_dim_mod_xstar,
 )
+from teter.graded import _cm_window
 
 
 def test_cone_cm_frozen():
@@ -29,6 +30,14 @@ def test_cone_cm_needs_the_deep_probe():
         assert H.ord(w + e) == H.ord(w) + 1
     assert H.ord(34) == 2 and H.ord(44) == 4
     assert not assoc_graded_is_cm(H)
+
+
+def test_ord_table_stops_at_the_largest_index_read():
+    # both cone criteria read ord up to window + e and no further
+    for gens in ([5, 6, 13], [107, 110, 136], [4, 5, 11], [3, 4, 5]):
+        H = NumericalSemigroup(gens)
+        assoc_graded_is_cm(H)
+        assert len(H._ord) == _cm_window(H) + H.multiplicity + 1
 
 
 def test_minimal_multiplicity_is_cm():

@@ -11,32 +11,54 @@ from teter.fiber import MAX_WIDTH
 
 
 def test_membership_table_refused_before_allocation(monkeypatch):
-    def no_table(size):
-        raise AssertionError("allocated a membership table of %d entries" % size)
+    def no_table(*args):
+        raise AssertionError("built a table for a refused semigroup")
 
-    monkeypatch.setattr(teter.semigroup, "bytearray", no_table, raising=False)
-    for gens in ([2, 100000000001], [2, 20000001], [3, 1000000, 1000001]):
-        with pytest.raises(ValueError, match="membership table"):
+    # the gaps are listed into the first tuple the constructor builds
+    monkeypatch.setattr(teter.semigroup, "tuple", no_table, raising=False)
+    for gens in ([2, 100000000001], [2, 20000001]):
+        with pytest.raises(ValueError, match="gap table"):
             NumericalSemigroup(gens)
+    # e * (number of generators) bounds the shortest-path heap
+    monkeypatch.setattr(teter.semigroup.heapq, "heappush", no_table)
+    monkeypatch.setattr(teter.semigroup.heapq, "heappop", no_table)
+    with pytest.raises(ValueError, match="shortest-path table"):
+        NumericalSemigroup([1000001, 1000002])
 
 
 def test_large_redundant_generators_do_not_size_the_table():
-    # the table is sized by the first coprime prefix, here <2,3> and <3,4>
+    # redundant generators cost one shortest-path edge each, nothing more
     assert NumericalSemigroup([2, 3, 2000000]).generators == (2, 3)
     assert NumericalSemigroup([3, 4, 5, 400000]).generators == (3, 4, 5)
     assert NumericalSemigroup([2000000, 2, 3, 10**12]).generators == (2, 3)
+
+
+def test_large_inputs_match_closed_forms():
+    # Sylvester: F = ab - a - b and genus (a-1)(b-1)/2 for <a,b>
+    H = NumericalSemigroup([999, 1000])
+    assert H.frobenius == 999 * 1000 - 999 - 1000
+    assert H.genus == 998 * 999 // 2
+    # Roberts: <a, a+1, ..., a+k> has F = (floor((a-2)/k) + 1) a - 1
+    H = NumericalSemigroup(range(1000, 1010))
+    assert H.generators == tuple(range(1000, 1010))
+    assert H.frobenius == (998 // 9 + 1) * 1000 - 1 == 110_999
+    # Apery set {0, 10^6, 10^6 + 1} of 3
+    H = NumericalSemigroup([3, 1000000, 1000001])
+    assert H.frobenius == 999_998
+    assert H.genus == 666_666
+    assert H.generators == (3, 1000000, 1000001)
 
 
 def test_ord_table_stays_under_the_limit(monkeypatch):
     monkeypatch.setattr(teter.semigroup, "MAX_TABLE", 1000)
     H = NumericalSemigroup([3, 4, 5])
     assert H.ord(600) == 200
-    # the doubling step stops at the limit instead of passing it
+    # the table grows to exactly the largest index read
     assert H.ord(700) == 233
-    assert len(H._ord) == 1000
+    assert len(H._ord) == 701
     with pytest.raises(ValueError, match="ord table"):
         H.ord(1000)
-    assert len(H._ord) == 1000
+    assert len(H._ord) == 701
 
 
 @pytest.fixture

@@ -70,6 +70,10 @@ def test_membership():
     assert 0 in H
     small = NumericalSemigroup([3, 4, 5])
     assert [n for n in range(10) if n in small] == [0, 3, 4, 5, 6, 7, 8, 9]
+    # negative n, multiples of e included, for e > 1 and e = 1
+    assert not any(n in H for n in (-1, -6, -20, -43, -44, -600))
+    assert not any(n in small for n in range(-10, 0))
+    assert not any(n in NumericalSemigroup([1]) for n in (-1, -2, -100))
 
 
 def test_members_up_to():
