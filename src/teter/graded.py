@@ -32,9 +32,13 @@ def assoc_graded_is_cm(H):
     criteria are evaluated: one deep probe per Apery class of e, and a
     defensive single-step scan over the whole stabilization window.
     They agree on all inputs; a disagreement is an internal error, not
-    a property of the semigroup.  Both run once per semigroup: the
-    verdict is kept on the instance (as ``_cone_cm``, set only here),
-    so later calls (from ``build_graded_model``, say) cost nothing.
+    a property of the semigroup.  Both read one ord table, built once
+    through window + e; it grows a block of e entries at a time, since
+    every generator is at least e and a block's entries depend only on
+    earlier ones.  The scan compares the table with itself shifted by
+    e.  Both run once per semigroup: the verdict is kept on the
+    instance (as ``_cone_cm``, set only here), so later calls (from
+    ``build_graded_model``, say) cost nothing.
     """
     if "_cone_cm" in vars(H):
         return H._cone_cm
@@ -42,6 +46,8 @@ def assoc_graded_is_cm(H):
         return True
     e = H.multiplicity
     window = _cm_window(H)
+    # window > F, so window + e is a member and ord does not raise
+    H.ord(window + e)
 
     fast = True
     for w in H.apery_set(e):
@@ -52,7 +58,9 @@ def assoc_graded_is_cm(H):
             fast = False
             break
 
-    slow = all(H.ord(h + e) == H.ord(h) + 1 for h in H.members_up_to(window))
+    # t[h] >= 0 exactly for the members h
+    t = H._ord
+    slow = all(b == a + 1 for a, b in zip(t[: window + 1], t[e:]) if a >= 0)
 
     if fast != slow:
         raise CrossCheckError(

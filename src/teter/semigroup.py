@@ -16,6 +16,7 @@ is max Ap - e, and the gaps and minimal generators are read off it.
 import heapq
 import math
 from functools import cached_property
+from itertools import chain
 
 from .errors import (
     CrossCheckError,
@@ -109,7 +110,9 @@ class NumericalSemigroup:
 
     def members_up_to(self, n):
         """All members in [0, n], ascending."""
-        return [h for h in range(n + 1) if h in self]
+        # the members of residue class r are Ap[r], Ap[r] + e, ...
+        e = self.multiplicity
+        return sorted(chain.from_iterable(range(w, n + 1, e) for w in self._apery))
 
     def apery_set(self, m):
         """Least member in each residue class mod m, indexed by residue.
@@ -119,6 +122,8 @@ class NumericalSemigroup:
         """
         if m <= 0 or m not in self:
             raise NotAMemberError("%r is not a nonzero member" % (m,))
+        if m == self.multiplicity:
+            return tuple(self._apery)
         least = [None] * m
         for h in range(self.frobenius + m + 1):
             r = h % m
@@ -135,10 +140,14 @@ class NumericalSemigroup:
         """
         if self.frobenius < 0:
             return (-1,)
-        # f + h lands in H for all nonzero h iff it does for the
-        # generators, since every member is a sum of generators.
+        # f + e is a member and f is not, so f + e is in Ap(H, e): only
+        # the e - 1 candidates w - e need testing.  f + h lands in H for
+        # all nonzero h iff it does for the generators, since every
+        # member is a sum of generators.
+        e = self.multiplicity
         gens = self.generators
-        return tuple(f for f in self.gaps if all(f + g in self for g in gens))
+        candidates = (w - e for w in self._apery[1:])
+        return tuple(sorted(f for f in candidates if all(f + g in self for g in gens)))
 
     @property
     def cm_type(self):
@@ -171,22 +180,33 @@ class NumericalSemigroup:
         raise NotAMemberError("%r is not a member" % (h,))
 
     def _ensure_ord(self, n):
-        # grows the table through index n, no further; a non-member has
-        # only non-member predecessors, so it gets -1
+        # Grows the table through index n, no further, one block of at
+        # most e entries at a time: every generator g is at least e, so
+        # the predecessors h - g of a block [lo, lo + e) all lie below
+        # lo, in entries already built.  An entry is one more than the
+        # largest predecessor's, or -1 when all of them are -1 (a
+        # non-member has only non-member predecessors).
         table = self._ord
         if n < len(table):
             return
         _check_table(n + 1, "ord")
+        e = self.multiplicity
         gens = self.generators
-        for h in range(len(table), n + 1):
-            best = -1
-            for g in gens:
-                if g > h:
-                    break
-                prev = table[h - g]
-                if prev > best:
-                    best = prev
-            table.append(best + 1 if best >= 0 else -1)
+        if len(table) < e:
+            # below the multiplicity only 0 is a member
+            table.extend([-1] * (min(e, n + 1) - len(table)))
+        while len(table) <= n:
+            lo = len(table)
+            hi = min(lo + e, n + 1)
+            # g < hi holds for g = e since lo >= e; a predecessor below
+            # 0 (g > lo) is a non-member
+            preds = [
+                table[lo - g:hi - g] if g <= lo else [-1] * (g - lo) + table[:hi - g]
+                for g in gens
+                if g < hi
+            ]
+            best = map(max, *preds) if len(preds) > 1 else preds[0]
+            table.extend([b + 1 if b >= 0 else -1 for b in best])
 
     def __eq__(self, other):
         if not isinstance(other, NumericalSemigroup):

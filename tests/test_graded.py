@@ -1,6 +1,7 @@
 import pytest
 
 from teter import (
+    CrossCheckError,
     NumericalSemigroup,
     RelativeIdeal,
     TangentConeNotCMError,
@@ -38,6 +39,41 @@ def test_ord_table_stops_at_the_largest_index_read():
         H = NumericalSemigroup(gens)
         assoc_graded_is_cm(H)
         assert len(H._ord) == _cm_window(H) + H.multiplicity + 1
+
+
+def test_scan_disagreement_raises():
+    # corrupt one ord entry that no deep probe reads (neither an Apery
+    # element w nor its probe w + me): only the single-step scan sees it
+    for gens in ([3, 4, 5], [6, 9, 20]):
+        assert assoc_graded_is_cm(NumericalSemigroup(gens))
+        H = NumericalSemigroup(gens)
+        e = H.multiplicity
+        window = _cm_window(H)
+        H.ord(window + e)
+        probed = set()
+        for w in H.apery_set(e):
+            probed |= {w, w + max(1, (window - w) // e + 1) * e}
+        h = next(h for h in H.members_up_to(window) if h not in probed)
+        H._ord[h] += 1
+        with pytest.raises(CrossCheckError):
+            assoc_graded_is_cm(H)
+
+
+def test_cone_test_reads_ord_without_a_call_per_member(monkeypatch):
+    # one call grows the table, then at most two per deep probe
+    calls = []
+    ord_ = NumericalSemigroup.ord
+
+    def counting_ord(self, h):
+        calls.append(h)
+        return ord_(self, h)
+
+    monkeypatch.setattr(NumericalSemigroup, "ord", counting_ord)
+    for gens in ([4, 5, 6, 7], [107, 110, 136]):
+        H = NumericalSemigroup(gens)
+        calls.clear()
+        assoc_graded_is_cm(H)
+        assert len(calls) <= 2 * H.multiplicity + 1
 
 
 def test_minimal_multiplicity_is_cm():

@@ -1,12 +1,13 @@
 import random
+from contextlib import suppress
 from math import gcd
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from teter import NumericalSemigroup, canonical_ideal
+from teter import NotAMemberError, NumericalSemigroup, canonical_ideal
 from teter.modp import RowSpace
 
 gen_lists = st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4)
@@ -84,6 +85,30 @@ def test_ord_matches_oracle(gens):
     ords = oracle.bf_ord_table(gens, window)
     for h in H.members_up_to(window):
         assert H.ord(h) == int(ords[h])
+
+
+@given(gen_lists)
+@example([1])
+@example([1, 5])
+@example([2, 3])
+@settings(deadline=None, max_examples=40)
+def test_ord_table_grows_blockwise_to_exactly_what_is_read(gens):
+    # uneven steps, so blocks of e entries end short of e at the end
+    # of a step and the next block starts off the multiple of e
+    assume(coprime(gens))
+    H = NumericalSemigroup(gens)
+    e, top, F = H.multiplicity, H.generators[-1], H.frobenius
+    read = 0
+    for n in (1, e + 1, top + 3, top + 3 + e + e // 2, 3 * top + F):
+        with suppress(NotAMemberError):
+            H.ord(n)
+        read = max(read, n)
+        assert len(H._ord) == read + 1
+        assert H._ord == oracle.bf_ord_table(gens, read).tolist()
+    for n in (-1, 0, e - 1, F, F + e):
+        table = oracle.bf_member_table(gens, max(n, 0))
+        expected = [h for h in range(n + 1) if table[h]]
+        assert H.members_up_to(n) == expected
 
 
 @given(gen_lists, st.integers(0, 10**6), st.integers(0, 10**6))
