@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, GorensteinInputError
 from .graded import assoc_graded_is_cm, build_graded_model, socle_dim_mod_xstar
 from .ideals import canonical_ideal, quotient_data
-from .semigroup import MAX_TABLE, NumericalSemigroup
+from .semigroup import NumericalSemigroup
 
 VERDICT_GORENSTEIN = "Gorenstein"
 VERDICT_TETER = "Teter"
@@ -40,30 +40,25 @@ def type_condition(H):
     return H.cm_type == H.embedding_dimension - 1
 
 
-def witness_shifts(H, window_multiplier=1):
+def witness_shifts(H):
     """All shifts s with J = omega + s a proper ideal and A/J a
-    hypersurface, scanned over [F, m*(maxgen + F)].
+    hypersurface, in increasing order.
 
-    For the default multiplier the window is exact: J must absorb at
-    least two minimal generators (embedding dimension of a
-    non-Gorenstein semigroup is at least 3), and n in J forces
-    s <= n + F.  A window of more than ``MAX_TABLE`` shifts is refused
-    with ValueError.  Returns (shift, ideal, quotient data) triples.
+    Only the at most edim * type shifts s = n + f, n a minimal
+    generator and f a pseudo-Frobenius number, can qualify.  A
+    non-Gorenstein H has embedding dimension at least 3, so J contains
+    a minimal generator n, say n = (s - f) + h with s - f a generator
+    of J and h in H; h = 0 because n is no sum of two nonzero members.
+    Returns (shift, ideal, quotient data) triples.
     """
     if H.is_gorenstein:
         raise GorensteinInputError("%r is Gorenstein" % (H,))
     omega = canonical_ideal(H)
-    top = window_multiplier * (H.generators[-1] + H.frobenius)
-    shifts = range(H.frobenius, top + 1)
-    if len(shifts) > MAX_TABLE:
-        raise ValueError(
-            "scan window of %d shifts exceeds %d" % (len(shifts), MAX_TABLE)
-        )
     found = []
-    for s in shifts:
+    for s in sorted({n + f for n in H.generators for f in H.pseudo_frobenius}):
         J = omega.shift(s)
         # A/J is a hypersurface iff at most one minimal generator lies
-        # outside J (quotient_data's mu); most shifts fail that cheaply
+        # outside J (quotient_data's mu)
         if not J.is_proper_ideal() or sum(n not in J for n in H.generators) > 1:
             continue
         found.append((s, J, quotient_data(H, J)))
@@ -72,16 +67,14 @@ def witness_shifts(H, window_multiplier=1):
 
 def _reported(found):
     # Several shifts can qualify, with different cyclic data; the largest
-    # is reported because it is the one whose ideal generators are the
-    # absorbed semigroup generators themselves, and the choice is pinned
-    # by the reference examples.  All valid shifts are equally usable
-    # downstream.
+    # is reported only because the reference table and the golden files
+    # pin that choice.  All valid shifts are equally usable downstream.
     return found[-1] if found else (None, None, None)
 
 
-def monomial_teter_witness(H, window_multiplier=1):
+def monomial_teter_witness(H):
     """Largest valid witness shift with its quotient data, or None."""
-    s, _, data = _reported(witness_shifts(H, window_multiplier))
+    s, _, data = _reported(witness_shifts(H))
     return None if s is None else (s, data)
 
 
@@ -128,7 +121,7 @@ def _strongly(H, found, cone_cm):
     return StronglyTeter(STRONGLY_NO, REASON_SOCLE_DIM, dim, s)
 
 
-def strongly_teter_check(H, window_multiplier=1):
+def strongly_teter_check(H):
     """Strongly-Teter subverdict for a non-Gorenstein H, on its own scan.
 
     NotApplicable without a witness.  With one, a non-CM tangent cone
@@ -142,10 +135,10 @@ def strongly_teter_check(H, window_multiplier=1):
     """
     if H.is_gorenstein:
         return StronglyTeter(STRONGLY_NOT_APPLICABLE)
-    return _strongly(H, witness_shifts(H, window_multiplier), assoc_graded_is_cm(H))
+    return _strongly(H, witness_shifts(H), assoc_graded_is_cm(H))
 
 
-def teter_check(H, window_multiplier=1):
+def teter_check(H):
     """Full classification of k[[H]] in one pass.
 
     The cone verdict, the type condition and the witness scan run once
@@ -160,7 +153,7 @@ def teter_check(H, window_multiplier=1):
     elif not type_ok:
         verdict, reason = VERDICT_NOT_TETER, REASON_TYPE_BOUND
     else:
-        found = witness_shifts(H, window_multiplier)
+        found = witness_shifts(H)
         verdict = VERDICT_TETER if found else VERDICT_UNKNOWN
     s, J, data = _reported(found)
     witness = None if s is None else WitnessData(

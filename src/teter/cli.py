@@ -39,7 +39,7 @@ def _analyze_one(gens, args):
     timings = {}
     start = time.perf_counter()
     H = NumericalSemigroup(gens)
-    report = teter_check(H, args.window_multiplier)
+    report = teter_check(H)
     timings["analysis"] = int(1000 * (time.perf_counter() - start))
     certificate = None
     if args.approximate:
@@ -64,8 +64,6 @@ def _analyze_one(gens, args):
 
 
 def _cmd_analyze(args):
-    if args.window_multiplier < 1:
-        raise ValueError("window multiplier must be at least 1")
     doc = _analyze_one(_parse_generators(args.generators), args)
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -75,8 +73,6 @@ def _cmd_analyze(args):
 
 
 def _cmd_batch(args):
-    if args.window_multiplier < 1:
-        raise ValueError("window multiplier must be at least 1")
     with open(args.file) as handle:
         raw_lines = handle.read().splitlines()
     bad = 0
@@ -216,12 +212,6 @@ def _build_parser():
         default=(DEFAULT_PRIME, SECOND_PRIME),
         metavar="P1,P2",
         help="moduli for the verification sweep",
-    )
-    analysis.add_argument(
-        "--window-multiplier",
-        type=int,
-        default=1,
-        help="widen the witness shift scan by this factor",
     )
     analysis.add_argument(
         "--no-timings",

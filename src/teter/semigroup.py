@@ -25,9 +25,9 @@ from .errors import (
     NotAMemberError,
 )
 
-# Largest shortest-path search, gap list, ord table or witness-shift window;
-# larger ones are refused before allocation (an ord table of 10^6 entries
-# takes about 16 s and 121 MB in teter_check).
+# Largest shortest-path search, gap list or ord table; larger ones are
+# refused before allocation (an ord table of 10^6 entries takes about
+# 16 s and 121 MB in teter_check).
 MAX_TABLE = 1_000_000
 
 

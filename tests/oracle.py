@@ -181,12 +181,13 @@ def bf_tangent_cone_cm(gens):
     return True
 
 
-def bf_teter_scan(gens, multiplier=1):
-    """Largest shift s in the scan window making the canonical ideal,
-    shifted, a proper monomial ideal with hypersurface quotient.
+def bf_teter_shifts(gens, multiplier=1):
+    """Every shift s in the scan window [F, multiplier * (max + F)]
+    making the canonical ideal, shifted, a proper monomial ideal with
+    hypersurface quotient.
 
-    Returns (s, sorted cobasis) or None.  Everything is recomputed from
-    membership sets.
+    Returns the (s, sorted cobasis) pairs in increasing s.  Everything is
+    recomputed from membership sets.
     """
     frob = bf_frobenius(gens)
     mins = bf_minimal_generators(gens)
@@ -195,7 +196,7 @@ def bf_teter_scan(gens, multiplier=1):
     table = bf_member_table(gens, bound)
     # same normalization as bf_canonical_generators: smallest element -F
     omega = {z - frob for z in bf_canonical_set(gens, 0, bound)}
-    best = None
+    found = []
     for s in range(frob, top + 1):
         ideal = {z + s for z in omega if z + s <= bound}
         # proper ideal: inside the semigroup, not everything
@@ -203,13 +204,19 @@ def bf_teter_scan(gens, multiplier=1):
             continue
         if 0 in ideal:
             continue
-        cobasis = [
-            h for h in range(frob + s + 1) if table[h] and h not in ideal
-        ]
         surviving = [n for n in mins if n not in ideal]
         if len(surviving) <= 1:
-            best = (s, cobasis)
-    return best
+            cobasis = [
+                h for h in range(frob + s + 1) if table[h] and h not in ideal
+            ]
+            found.append((s, cobasis))
+    return found
+
+
+def bf_teter_scan(gens, multiplier=1):
+    """Largest shift of ``bf_teter_shifts`` with its cobasis, or None."""
+    found = bf_teter_shifts(gens, multiplier)
+    return found[-1] if found else None
 
 
 def enumerate_semigroups(max_genus):

@@ -167,7 +167,7 @@ def test_criterion_6_exhaustive_small_genus_audit():
                 else:
                     s, data = hit
                     assert want == (s, list(data.cobasis))
-                    assert monomial_teter_witness(H, 3) == hit
+                    assert oracle.bf_teter_scan(raw, 3) == want
                     assert H.cm_type == H.embedding_dimension - 1
                     witnessed += 1
 

@@ -1,8 +1,10 @@
 import pytest
 
+import oracle
 from teter import (
     GorensteinInputError,
     NumericalSemigroup,
+    RelativeIdeal,
     monomial_teter_witness,
     strongly_teter_check,
     teter_check,
@@ -47,11 +49,20 @@ def test_largest_shift_is_reported():
 
 
 def test_wider_window_finds_nothing_new():
-    # any witness ideal must absorb a minimal generator, which caps the
-    # shift; tripling the scan window cannot change the answer
-    for gens in ([3, 4, 5], [4, 5, 11], [4, 5, 6, 7]):
+    # the closed-form candidates n + f list exactly the shifts a
+    # brute-force scan finds, however far it looks past max + F; the
+    # semigroups failing the type condition are included
+    seen = set()
+    for _, gens in oracle.enumerate_semigroups(8):
         H = NumericalSemigroup(gens)
-        assert monomial_teter_witness(H, 3) == monomial_teter_witness(H)
+        if H.is_gorenstein:
+            continue
+        seen.add(gens)
+        found = [(s, list(d.cobasis)) for s, _, d in witness_shifts(H)]
+        for multiplier in (1, 2, 3):
+            assert found == oracle.bf_teter_shifts(list(gens), multiplier), gens
+    assert {(3, 4, 5), (4, 5, 11), (4, 5, 6, 7), (5, 6, 7, 9)} <= seen
+    assert len(seen) == 124
 
 
 def test_quotient_data_runs_once_per_certifying_shift(monkeypatch):
@@ -68,8 +79,21 @@ def test_quotient_data_runs_once_per_certifying_shift(monkeypatch):
     found = witness_shifts(NumericalSemigroup([4, 5, 6, 7]))
     assert [J for _, J, _ in found] == calls and len(calls) == 2
     calls.clear()
-    assert witness_shifts(NumericalSemigroup([107, 110, 136]), 3) == []
+
+    # only the edim * type candidates n + f are tried, not every shift
+    # in [F, F + max]
+    shifts = []
+    shift = RelativeIdeal.shift
+
+    def counting_shift(self, s):
+        shifts.append(s)
+        return shift(self, s)
+
+    monkeypatch.setattr(RelativeIdeal, "shift", counting_shift)
+    H = NumericalSemigroup([107, 110, 136])
+    assert witness_shifts(H) == []
     assert calls == []
+    assert 0 < len(shifts) <= H.embedding_dimension * H.cm_type == 6
 
 
 def test_no_witness_means_none():

@@ -90,7 +90,6 @@ def test_byte_identical_reruns(capsys):
         ("analyze", "2,4"),  # not coprime
         ("analyze", "abc"),
         ("analyze", ","),
-        ("analyze", "3,4,5", "--window-multiplier", "0"),
         ("analyze", "3,4,5", "--approximate", "--primes", "4,6"),
         ("analyze", "3,4,5", "--approximate", "--primes", "2147483647,65521"),
         ("batch", "/no/such/file"),
@@ -98,7 +97,6 @@ def test_byte_identical_reruns(capsys):
         ("analyze", "2,20000001"),
         ("analyze", "3,4,5", "--approximate", "--precision", "100000"),
         ("analyze", "3,4,5", "--approximate", "--precision", "1000000000000"),
-        ("analyze", "3,4,5", "--window-multiplier", "1000000000"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -107,8 +105,25 @@ def test_bad_input_exits_2(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "3,4,5"),
+        ("batch", "/no/such/file"),
+    ],
+    ids=["analyze", "batch"],
+)
+def test_window_multiplier_is_refused(capsys, argv):
+    # no witness-shift window is left to widen: argparse refuses the flag
+    # before any input is read
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--window-multiplier", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window-multiplier 2" in capsys.readouterr().err
+
+
 def test_cross_check_failure_exits_3(capsys, monkeypatch):
-    def boom(H, window_multiplier=1):
+    def boom(H):
         raise CrossCheckError("synthetic failure")
 
     monkeypatch.setattr("teter.cli.teter_check", boom)
