@@ -8,9 +8,9 @@ search with the necessary type condition intact therefore yields
 Unknown, not NotTeter.
 
 ``teter_check`` computes each fact once per semigroup: the type
-condition, the tangent-cone verdict (cached on the semigroup, see
-``graded.assoc_graded_is_cm``) and one witness scan.  The Teter witness
-and the strongly-Teter subverdict are both read off that scan.
+condition, the tangent-cone verdict (a read of the semigroup's cached
+``apery_table``) and one witness scan.  The Teter witness and the
+strongly-Teter subverdict are both read off that scan.
 """
 
 from dataclasses import dataclass

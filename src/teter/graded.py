@@ -14,61 +14,36 @@ from .ideals import RelativeIdeal
 from .semigroup import NumericalSemigroup
 
 
-def _cm_window(H):
-    # Deep-probe stabilization bound: for w + me past (e-1) * (sum of
-    # the other generators), ord(w + (m+1)e) = ord(w + me) + 1 always
-    # holds, so any additivity failure shows up at or below it.  The
-    # second term keeps the window generous for tiny semigroups.
-    e = H.multiplicity
-    b1 = (e - 1) * sum(g for g in H.generators if g != e)
-    return max(b1, 2 * (H.frobenius + e) + H.generators[-1])
-
-
 def assoc_graded_is_cm(H):
     """Whether the associated graded ring of k[[H]] is Cohen-Macaulay.
 
-    Equivalent to the initial form of t^e being a nonzerodivisor, i.e.
-    ord(h + e) = ord(h) + 1 for every member h.  Two complete finite
-    criteria are evaluated: one deep probe per Apery class of e, and a
-    defensive single-step scan over the whole stabilization window.
-    They agree on all inputs; a disagreement is an internal error, not
-    a property of the semigroup.  Both read one ord table, built once
-    through window + e; it grows a block of e entries at a time, since
-    every generator is at least e and a block's entries depend only on
-    earlier ones.  The scan compares the table with itself shifted by
-    e.  Both run once per semigroup: the verdict is kept on the
-    instance (as ``_cone_cm``, set only here), so later calls (from
-    ``build_graded_model``, say) cost nothing.
+    That is, ord(h + e) = ord(h) + 1 for every member h.  Each class of
+    ``H.apery_table`` steps by 0 or e from row to row, and by e past the
+    last row, so two finite criteria read it (Barucci and Froberg, J.
+    Algebra 304, 2006): additivity, a class that has left its Apery
+    element steps by e at every later row; and the Hilbert function,
+    sum_i (a_(n+1)[i] - a_n[i]) / e = #{w in Ap : ord w <= n} for all n.
+    They disagree only on an internal error; each call is O(e * rows).
     """
-    if "_cone_cm" in vars(H):
-        return H._cone_cm
-    if H.embedding_dimension == 1:
-        return True
+    rows = H.apery_table
     e = H.multiplicity
-    window = _cm_window(H)
-    # window > F, so window + e is a member and ord does not raise
-    H.ord(window + e)
-
-    fast = True
-    for w in H.apery_set(e):
-        # ord(w + me) - m is nondecreasing in m and constant beyond the
-        # window, so additivity at one deep probe settles the class.
-        m = max(1, (window - w) // e + 1)
-        if H.ord(w + m * e) != H.ord(w) + m:
-            fast = False
-            break
-
-    # t[h] >= 0 exactly for the members h
-    t = H._ord
-    slow = all(b == a + 1 for a, b in zip(t[: window + 1], t[e:]) if a >= 0)
-
-    if fast != slow:
+    steps = list(zip(rows, rows[1:]))
+    additive = all(
+        a == w or b == a + e
+        for low, high in steps
+        for w, a, b in zip(rows[0], low, high)
+    )
+    degrees = [H.ord(w) for w in rows[0]]
+    hilbert = all(
+        (sum(high) - sum(low)) // e == sum(d <= n for d in degrees)
+        for n, (low, high) in enumerate(steps)
+    )
+    if additive != hilbert:
         raise CrossCheckError(
-            "tangent cone criteria disagree for %r (probe %r, scan %r)"
-            % (H, fast, slow)
+            "tangent cone criteria disagree for %r (additivity %r, Hilbert %r)"
+            % (H, additive, hilbert)
         )
-    H._cone_cm = fast
-    return fast
+    return additive
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ Everything rests on the Apery set of the multiplicity e: the least
 member in each residue class mod e, found by shortest paths over the
 residues (Nijenhuis, "A minimal-path algorithm for the money changing
 problem", 1979).  Membership is n >= Ap[n mod e], the Frobenius number
-is max Ap - e, and the gaps and minimal generators are read off it.
+is max Ap - e, and the gaps and minimal generators are read off it, as
+is ord off its extension to the powers of m, ``apery_table``.
 """
 
 import heapq
@@ -25,9 +26,8 @@ from .errors import (
     NotAMemberError,
 )
 
-# Largest shortest-path search, gap list or ord table; larger ones are
-# refused before allocation (an ord table of 10^6 entries takes about
-# 16 s and 121 MB in teter_check).
+# Largest shortest-path search, gap list or Apery table (e entries per
+# row); larger ones are refused before allocation.
 MAX_TABLE = 1_000_000
 
 
@@ -84,7 +84,6 @@ class NumericalSemigroup:
             w for w in apery[1:] if not any(w > g and w - g in self for g in gens)
         )
         self.generators = tuple(minimal)
-        self._ord = [0]  # ord table, grown on demand
 
     @property
     def multiplicity(self):
@@ -168,45 +167,42 @@ class NumericalSemigroup:
             )
         return symmetric
 
+    @cached_property
+    def apery_table(self):
+        """Rows a_0, ..., a_r, a_n[i] the least h = i mod e of ord >= n.
+
+        a_0 = Ap(H, e), and a_(n+1)[i] is the least a_n[i - g mod e] + g
+        over the generators g (ord(h) > n iff some h - g has ord >= n).
+        The rows stop at the first r with a_(r+1) = a_r + e; every later
+        row is the one before plus e, and r, the reduction number of m,
+        is below e.
+        """
+        e = self.multiplicity
+        gens = self.generators
+        rows = [self.apery_set(e)]
+        while True:
+            _check_table(e * len(rows), "Apery")
+            low = rows[-1]
+            # low[-s:] + low[:-s] puts low[(i - s) % e] at index i
+            sums = [[a + g for a in low[-(g % e):] + low[:-(g % e)]] for g in gens]
+            high = tuple(map(min, zip(*sums)))
+            if all(b == a + e for a, b in zip(low, high)):
+                return tuple(rows)
+            rows.append(high)
+
     def ord(self, h):
         """Largest n such that h is a sum of n nonzero members.
 
-        ord(0) = 0, ord(generator) = 1; grows roughly like h/max(gens).
+        ord(0) = 0 and ord(generator) = 1.  It counts the rows n >= 1 with
+        a_n[h mod e] <= h in ``apery_table`` and past it, where row r + k
+        is a_r + k e: past a_r, ord(h) = r + (h - a_r[h mod e]) // e, so
+        ord grows like h / e.
         """
-        if h >= 0:
-            self._ensure_ord(h)
-            if self._ord[h] >= 0:
-                return self._ord[h]
-        raise NotAMemberError("%r is not a member" % (h,))
-
-    def _ensure_ord(self, n):
-        # Grows the table through index n, no further, one block of at
-        # most e entries at a time: every generator g is at least e, so
-        # the predecessors h - g of a block [lo, lo + e) all lie below
-        # lo, in entries already built.  An entry is one more than the
-        # largest predecessor's, or -1 when all of them are -1 (a
-        # non-member has only non-member predecessors).
-        table = self._ord
-        if n < len(table):
-            return
-        _check_table(n + 1, "ord")
+        if h not in self:
+            raise NotAMemberError("%r is not a member" % (h,))
         e = self.multiplicity
-        gens = self.generators
-        if len(table) < e:
-            # below the multiplicity only 0 is a member
-            table.extend([-1] * (min(e, n + 1) - len(table)))
-        while len(table) <= n:
-            lo = len(table)
-            hi = min(lo + e, n + 1)
-            # g < hi holds for g = e since lo >= e; a predecessor below
-            # 0 (g > lo) is a non-member
-            preds = [
-                table[lo - g:hi - g] if g <= lo else [-1] * (g - lo) + table[:hi - g]
-                for g in gens
-                if g < hi
-            ]
-            best = map(max, *preds) if len(preds) > 1 else preds[0]
-            table.extend([b + 1 if b >= 0 else -1 for b in best])
+        column = [row[h % e] for row in self.apery_table]
+        return sum(a <= h for a in column) - 1 + max(0, h - column[-1]) // e
 
     def __eq__(self, other):
         if not isinstance(other, NumericalSemigroup):

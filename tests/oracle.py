@@ -162,6 +162,26 @@ def bf_ord(gens, h):
     return int(arr[h])
 
 
+def bf_apery_table(gens):
+    """Rows a_n[i] = least h = i mod e with ord(h) >= n, read off
+    ``bf_ord_table``, through the first row r with a_(r+1) = a_r + e.
+
+    a_n[i] <= a_0[i] + n e <= F + e + n e, and r <= e - 1, so a table
+    through F + e + e^2 holds every entry of rows 0 to e.
+    """
+    e = min(bf_minimal_generators(gens))
+    ords = bf_ord_table(gens, bf_frobenius(gens) + e + e * e)
+    rows = []
+    for n in range(e + 1):
+        row = tuple(
+            next(h for h in range(i, len(ords), e) if ords[h] >= n) for i in range(e)
+        )
+        if rows and row == tuple(a + e for a in rows[-1]):
+            return tuple(rows)
+        rows.append(row)
+    raise AssertionError("no row of <%s> steps by e within e rows" % gens)
+
+
 def bf_tangent_cone_cm(gens):
     """Single-step scan: every member must gain exactly one order step
     when the multiplicity is added, far enough out to be conclusive."""

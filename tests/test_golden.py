@@ -1,8 +1,10 @@
 """`analyze --json --no-timings` output stays byte-identical.
 
 The files under `golden/` hold the output recorded before the
-semigroup core was rebuilt on the Apéry set; any change to a verdict,
-an invariant, a witness or a certificate shows up as a diff here.
+semigroup core was rebuilt on the Apéry set (the last three cases:
+before `ord` and the tangent-cone test moved onto the Apéry table of
+the powers of m); any change to a verdict, an invariant, a witness or a
+certificate shows up as a diff here.
 """
 
 from pathlib import Path
@@ -20,6 +22,9 @@ CASES = [
     ("5,6,7,9",),
     ("3,4",),
     ("107,110,136",),
+    ("10,11,24",),
+    ("47,65,124",),
+    ("50,83,134",),
     ("3,4,5", "--approximate"),
 ]
 

@@ -1,5 +1,6 @@
 import pytest
 
+import oracle
 from teter import (
     CrossCheckError,
     NumericalSemigroup,
@@ -10,7 +11,6 @@ from teter import (
     canonical_ideal,
     socle_dim_mod_xstar,
 )
-from teter.graded import _cm_window
 
 
 def test_cone_cm_frozen():
@@ -33,34 +33,46 @@ def test_cone_cm_needs_the_deep_probe():
     assert not assoc_graded_is_cm(H)
 
 
-def test_ord_table_stops_at_the_largest_index_read():
-    # both cone criteria read ord up to window + e and no further
-    for gens in ([5, 6, 13], [107, 110, 136], [4, 5, 11], [3, 4, 5]):
+def test_apery_table_stops_at_the_first_row_that_steps_by_e():
+    # every stored row but the first differs from the one before by
+    # something other than e, and the row after the last is the last
+    # plus e (read off the brute-force ord table)
+    for gens in ([5, 6, 13], [107, 110, 136], [4, 5, 11], [3, 4, 5], [10, 11, 24]):
         H = NumericalSemigroup(gens)
-        assoc_graded_is_cm(H)
-        assert len(H._ord) == _cm_window(H) + H.multiplicity + 1
+        e = H.multiplicity
+        rows = H.apery_table
+        assert 1 <= len(rows) <= e
+        for low, high in zip(rows, rows[1:]):
+            assert high != tuple(a + e for a in low)
+        ords = oracle.bf_ord_table(gens, max(rows[-1]) + e)
+        r = len(rows) - 1
+        after = [
+            min(h for h in range(i, len(ords), e) if ords[h] > r) for i in range(e)
+        ]
+        assert after == [a + e for a in rows[-1]]
 
 
 def test_scan_disagreement_raises():
-    # corrupt one ord entry that no deep probe reads (neither an Apery
-    # element w nor its probe w + me): only the single-step scan sees it
+    # corrupt one cached table entry so that only one criterion moves:
+    # a_0[i] + e for the class i of a minimal generator g (ord 1).  The
+    # class then steps down to g at row 1 and by e after it, which
+    # additivity lets pass, while the Hilbert function at degree 0 loses
+    # the class and drops to 0 against #{w in Ap : ord w = 0} = 1.
+    # On <3,4,5>, with rows (0,4,5) and (3,4,5), this is a_0[1] = 7.
     for gens in ([3, 4, 5], [6, 9, 20]):
-        assert assoc_graded_is_cm(NumericalSemigroup(gens))
         H = NumericalSemigroup(gens)
+        assert assoc_graded_is_cm(H)
         e = H.multiplicity
-        window = _cm_window(H)
-        H.ord(window + e)
-        probed = set()
-        for w in H.apery_set(e):
-            probed |= {w, w + max(1, (window - w) // e + 1) * e}
-        h = next(h for h in H.members_up_to(window) if h not in probed)
-        H._ord[h] += 1
+        i = H.generators[1] % e
+        first, *rest = H.apery_table
+        vars(H)["apery_table"] = (first[:i] + (first[i] + e,) + first[i + 1:], *rest)
         with pytest.raises(CrossCheckError):
             assoc_graded_is_cm(H)
 
 
 def test_cone_test_reads_ord_without_a_call_per_member(monkeypatch):
-    # one call grows the table, then at most two per deep probe
+    # the Hilbert function criterion reads ord once per Apery element;
+    # nothing else calls it
     calls = []
     ord_ = NumericalSemigroup.ord
 

@@ -6,7 +6,12 @@ import pytest
 
 import teter.fiber
 import teter.semigroup
-from teter import FiberProductRing, NumericalSemigroup, verify_approximation
+from teter import (
+    FiberProductRing,
+    NumericalSemigroup,
+    assoc_graded_is_cm,
+    verify_approximation,
+)
 from teter.fiber import MAX_WIDTH
 
 
@@ -47,18 +52,35 @@ def test_large_inputs_match_closed_forms():
     assert H.frobenius == 999_998
     assert H.genus == 666_666
     assert H.generators == (3, 1000000, 1000001)
+    # m^2 = t^3 m: two rows, a CM cone, and ord = (h - a_1[h mod 3]) // 3 + 1
+    assert len(H.apery_table) == 2
+    assert assoc_graded_is_cm(H)
+    assert H.ord(10**6) == 1
+    assert H.ord(2 * 10**6 + 1) == 666_667
 
 
 def test_ord_table_stays_under_the_limit(monkeypatch):
+    # ord reads the Apery table of the powers of m, e entries a row and
+    # at most e rows, so any member is answered once the table fits
     monkeypatch.setattr(teter.semigroup, "MAX_TABLE", 1000)
     H = NumericalSemigroup([3, 4, 5])
     assert H.ord(600) == 200
-    # the table grows to exactly the largest index read
     assert H.ord(700) == 233
-    assert len(H._ord) == 701
-    with pytest.raises(ValueError, match="ord table"):
-        H.ord(1000)
-    assert len(H._ord) == 701
+    assert H.ord(10**12) == 333_333_333_333
+    # <10,11,24> needs ten rows of ten entries; a limit of 99 refuses
+    # the table before its tenth row, and every reader with it
+    monkeypatch.setattr(teter.semigroup, "MAX_TABLE", 99)
+    H = NumericalSemigroup([10, 11, 24])
+    refused = "Apery table of 100 entries exceeds 99"
+    with pytest.raises(ValueError, match=refused):
+        H.apery_table
+    with pytest.raises(ValueError, match=refused):
+        H.ord(44)
+    with pytest.raises(ValueError, match=refused):
+        assoc_graded_is_cm(H)
+    monkeypatch.setattr(teter.semigroup, "MAX_TABLE", 100)
+    assert len(H.apery_table) == 10
+    assert not assoc_graded_is_cm(H)
 
 
 @pytest.fixture

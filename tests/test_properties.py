@@ -1,5 +1,4 @@
 import random
-from contextlib import suppress
 from math import gcd
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from teter import NotAMemberError, NumericalSemigroup, canonical_ideal
+from teter import NumericalSemigroup, assoc_graded_is_cm, canonical_ideal
 from teter.modp import RowSpace
 
 gen_lists = st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4)
@@ -91,20 +90,22 @@ def test_ord_matches_oracle(gens):
 @example([1])
 @example([1, 5])
 @example([2, 3])
+@example([10, 11, 24])
 @settings(deadline=None, max_examples=40)
-def test_ord_table_grows_blockwise_to_exactly_what_is_read(gens):
-    # uneven steps, so blocks of e entries end short of e at the end
-    # of a step and the next block starts off the multiple of e
+def test_apery_table_matches_oracle(gens):
     assume(coprime(gens))
     H = NumericalSemigroup(gens)
     e, top, F = H.multiplicity, H.generators[-1], H.frobenius
-    read = 0
-    for n in (1, e + 1, top + 3, top + 3 + e + e // 2, 3 * top + F):
-        with suppress(NotAMemberError):
-            H.ord(n)
-        read = max(read, n)
-        assert len(H._ord) == read + 1
-        assert H._ord == oracle.bf_ord_table(gens, read).tolist()
+    assert H.apery_table == oracle.bf_apery_table(gens)
+    assert len(H.apery_table) <= e
+    assert assoc_graded_is_cm(H) == oracle.bf_tangent_cone_cm(gens)
+    # ord read off the rows at uneven steps; a_r <= a_0 + (e - 1) e, so
+    # the last read lies past the last row in its class
+    reads = (1, e + 1, top + 3, top + 3 + e + e // 2, 3 * top + F, F + e * e + top)
+    ords = oracle.bf_ord_table(gens, max(reads))
+    for n in reads:
+        if ords[n] >= 0:
+            assert H.ord(n) == ords[n]
     for n in (-1, 0, e - 1, F, F + e):
         table = oracle.bf_member_table(gens, max(n, 0))
         expected = [h for h in range(n + 1) if table[h]]
