@@ -106,44 +106,19 @@ class TeterReport:
     strongly: StronglyTeter
 
 
-def _strongly(H, found, cone_cm):
-    # Strongly-Teter subverdict from a witness scan and the cone verdict:
-    # the smallest socle dimension wins, the earliest shift among equals.
-    if not found:
-        return StronglyTeter(STRONGLY_NOT_APPLICABLE)
-    if not cone_cm:
-        return StronglyTeter(STRONGLY_NO, REASON_CONE_NOT_CM)
-    dim, s = min(
-        (socle_dim_mod_xstar(build_graded_model(H, J)), s) for s, J, _ in found
-    )
-    if dim == 1:
-        return StronglyTeter(STRONGLY_YES, None, 1, s)
-    return StronglyTeter(STRONGLY_NO, REASON_SOCLE_DIM, dim, s)
-
-
 def strongly_teter_check(H):
-    """Strongly-Teter subverdict for a non-Gorenstein H, on its own scan.
-
-    NotApplicable without a witness.  With one, a non-CM tangent cone
-    settles No; otherwise the socle of the graded witness module is
-    computed at every valid shift and the verdict is Yes iff some shift
-    reaches socle dimension one.  Scanning all shifts matters: the
-    graded filtration is shift-sensitive even though the underlying
-    approximation ring is not, so a single badly aligned shift can
-    overreport the socle.  ``teter_check`` derives the same subverdict
-    from its own scan and does not call this.
-    """
-    if H.is_gorenstein:
-        return StronglyTeter(STRONGLY_NOT_APPLICABLE)
-    return _strongly(H, witness_shifts(H), assoc_graded_is_cm(H))
+    """Strongly-Teter subverdict, as ``teter_check`` reports it."""
+    return teter_check(H).strongly
 
 
 def teter_check(H):
-    """Full classification of k[[H]] in one pass.
+    """Full classification of k[[H]], each fact computed once.
 
-    The cone verdict, the type condition and the witness scan run once
-    each; the witness (the last shift found) and the strongly-Teter
-    subverdict are both read off that one scan.
+    Strongly-Teter is NotApplicable without a witness and No on a non-CM
+    cone; otherwise the least socle dimension of the graded witness
+    module over all shifts, the earliest shift among equals, decides it
+    (Yes iff one): the filtration is shift-sensitive, so one badly
+    aligned shift can overreport the socle.
     """
     cone_cm = assoc_graded_is_cm(H)
     type_ok = type_condition(H)
@@ -159,7 +134,18 @@ def teter_check(H):
     witness = None if s is None else WitnessData(
         s, data.cyclic_generator, data.cyclic_length, J.generators, data.cobasis
     )
-    strongly = _strongly(H, found, cone_cm)
+    if not found:
+        strongly = StronglyTeter(STRONGLY_NOT_APPLICABLE)
+    elif not cone_cm:
+        strongly = StronglyTeter(STRONGLY_NO, REASON_CONE_NOT_CM)
+    else:
+        dim, shift = min(
+            (socle_dim_mod_xstar(build_graded_model(H, J)), s) for s, J, _ in found
+        )
+        if dim == 1:
+            strongly = StronglyTeter(STRONGLY_YES, None, 1, shift)
+        else:
+            strongly = StronglyTeter(STRONGLY_NO, REASON_SOCLE_DIM, dim, shift)
     return _validated(
         TeterReport(H, verdict, reason, type_ok, cone_cm, witness, strongly)
     )

@@ -53,8 +53,8 @@ class GradedModel:
 
     Under a Cohen-Macaulay cone that action is injective on the module,
     so the quotient has the finite monomial basis {j in J : j - e not
-    in J} (exactly e elements, one per residue class), each in degree
-    ord(j).
+    in J}, the Apery set of J (one element per residue class mod e),
+    each in degree ord(j).
     """
 
     semigroup: NumericalSemigroup
@@ -76,24 +76,19 @@ def build_graded_model(H, J):
             "tangent cone of %r is not Cohen-Macaulay" % (H,)
         )
     e = H.multiplicity
-    # least J-member of each residue class sits below F_J + e, and
-    # F_J <= F + min generator of J
-    top = H.frobenius + min(J.generators) + e
-    basis = []
-    for j in range(top + 1):
-        if j in J and j - e not in J:
-            basis.append(j)
-    if len(basis) != e:
-        raise CrossCheckError(
-            "Apery basis of %r has %d elements, expected %d"
-            % (J.generators, len(basis), e)
-        )
-    # CM of the cone gives ord(j + e) = ord(j) + 1 for every member,
-    # j included; re-check on the basis to guard the transcription.
-    for j in basis:
+    for i, j in enumerate(J.apery):
+        # re-check on J's generators: j is in J, j - e is not, j = i mod e
+        member = any(j - g in H for g in J.generators)
+        least = not any(j - e - g in H for g in J.generators)
+        if j % e != i or not member or not least:
+            raise CrossCheckError(
+                "%d is not the least element of %r in its class" % (j, J.generators)
+            )
+        # CM of the cone gives ord(j + e) = ord(j) + 1 for every member,
+        # j included; re-check on the basis to guard the transcription.
         if H.ord(j + e) != H.ord(j) + 1:
             raise CrossCheckError("degree-one action fails additivity at %d" % j)
-    return GradedModel(H, J, tuple(basis))
+    return GradedModel(H, J, tuple(sorted(J.apery)))
 
 
 def socle_dim_mod_xstar(model):

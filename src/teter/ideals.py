@@ -4,9 +4,15 @@ A relative ideal is a set I = union of (g + H) over finitely many
 integer generators g; it models a fractional monomial ideal of k[[H]].
 Generators may be negative (the canonical ideal's are), but a proper
 ideal of the ring itself has all generators positive members.
+
+Like H itself, I is fixed by its Apery set, its least element in each
+residue class mod e (Rosales and Garcia-Sanchez, Numerical Semigroups,
+2009); membership, A/I and the graded basis of I are read off it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .errors import (
     CrossCheckError,
@@ -38,8 +44,18 @@ class RelativeIdeal:
                 kept.append(g)
         return cls(ambient, tuple(kept))
 
+    @cached_property
+    def apery(self):
+        """Least element of I in class i mod e: least g + Ap[i - g mod e]."""
+        ap = self.ambient.apery
+        e = len(ap)
+        return tuple(
+            min(g + ap[(i - g) % e] for g in self.generators) for i in range(e)
+        )
+
     def contains(self, z):
-        return any(z - g in self.ambient for g in self.generators)
+        apery = self.apery
+        return z >= apery[z % len(apery)]
 
     __contains__ = contains
 
@@ -54,15 +70,14 @@ class RelativeIdeal:
 
 
 def canonical_ideal(H):
-    """The relative ideal generated by the negated gaps.
-
-    Its minimal generators are the negated pseudo-Frobenius numbers, so
-    the generator count equals the Cohen-Macaulay type; principal iff
-    Gorenstein.
+    """The relative ideal {z : -z not in H}, minimally generated by the
+    negated pseudo-Frobenius numbers (every gap g lies in f - H for one
+    of them, and no f' - f is a member), so the generator count is the
+    Cohen-Macaulay type; principal iff Gorenstein.
     """
     if H.frobenius < 0:
         raise FullSemigroupError("the full semigroup has no gaps")
-    return RelativeIdeal.from_generators(H, [-a for a in H.gaps])
+    return RelativeIdeal.from_generators(H, [-f for f in H.pseudo_frobenius])
 
 
 @dataclass(frozen=True)
@@ -91,9 +106,10 @@ def quotient_data(H, I):
     """
     if not I.is_proper_ideal():
         raise ImproperIdealError("%r is not a proper ideal" % (I.generators,))
-    # any member above F + min(I) is min-generator + (member > F)
-    top = H.frobenius + min(I.generators)
-    cobasis = tuple(h for h in H.members_up_to(top) if h not in I)
+    # I lies inside H, so H's class i runs from Ap[i] until it enters I
+    e = H.multiplicity
+    classes = (range(w, v, e) for w, v in zip(H.apery, I.apery))
+    cobasis = tuple(sorted(chain.from_iterable(classes)))
     mu = sum(1 for n in H.generators if n not in I)
 
     if mu == 0:

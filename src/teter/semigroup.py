@@ -71,10 +71,10 @@ class NumericalSemigroup:
                 if apery[nr] is None or nd < apery[nr]:
                     apery[nr] = nd
                     heapq.heappush(heap, (nd, nr))
-        self._apery = apery
 
         self.frobenius = max(apery) - e
         _check_table(self.frobenius + 1, "gap")
+        self.apery = tuple(apery)
         self.gaps = tuple(h for h in range(1, self.frobenius + 1) if h < apery[h % e])
 
         # Every minimal generator but e is a nonzero Apery element, and
@@ -102,7 +102,7 @@ class NumericalSemigroup:
         return self.frobenius + 1
 
     def contains(self, n):
-        apery = self._apery
+        apery = self.apery
         return n >= apery[n % len(apery)]
 
     __contains__ = contains
@@ -111,7 +111,7 @@ class NumericalSemigroup:
         """All members in [0, n], ascending."""
         # the members of residue class r are Ap[r], Ap[r] + e, ...
         e = self.multiplicity
-        return sorted(chain.from_iterable(range(w, n + 1, e) for w in self._apery))
+        return sorted(chain.from_iterable(range(w, n + 1, e) for w in self.apery))
 
     def apery_set(self, m):
         """Least member in each residue class mod m, indexed by residue.
@@ -122,7 +122,7 @@ class NumericalSemigroup:
         if m <= 0 or m not in self:
             raise NotAMemberError("%r is not a nonzero member" % (m,))
         if m == self.multiplicity:
-            return tuple(self._apery)
+            return self.apery
         least = [None] * m
         for h in range(self.frobenius + m + 1):
             r = h % m
@@ -145,7 +145,7 @@ class NumericalSemigroup:
         # member is a sum of generators.
         e = self.multiplicity
         gens = self.generators
-        candidates = (w - e for w in self._apery[1:])
+        candidates = (w - e for w in self.apery[1:])
         return tuple(sorted(f for f in candidates if all(f + g in self for g in gens)))
 
     @property

@@ -132,6 +132,43 @@ def bf_canonical_generators(gens):
     return out
 
 
+def bf_ideal_set(gens, ideal_gens, lo, hi):
+    """The union of (g + H) over ideal_gens, cut to [lo, hi]."""
+    table = bf_member_table(gens, max(hi - min(ideal_gens), 0))
+    return {
+        z
+        for z in range(lo, hi + 1)
+        if any(z >= g and table[z - g] for g in ideal_gens)
+    }
+
+
+def bf_shifted_canonical_set(gens, s, lo, hi):
+    """omega + s cut to [lo, hi], for omega = {z : -z not a member}:
+    the z with s - z not a member, straight from the definition."""
+    table = bf_member_table(gens, max(s - lo, 0))
+    return {z for z in range(lo, hi + 1) if z > s or not table[s - z]}
+
+
+def bf_least_per_class(elements, m):
+    """Least element of a finite set in each residue class mod m."""
+    least = {}
+    for z in sorted(elements):
+        least.setdefault(z % m, z)
+    return [least[r] for r in range(m)]
+
+
+def bf_window_cobasis(gens, ideal_gens):
+    """Members of H outside the ideal on ideal_gens, by a window scan.
+
+    Every member above F + min(ideal_gens) is that generator plus a
+    member above F, so it lies in the ideal; the scan stops there.
+    """
+    top = bf_frobenius(gens) + min(ideal_gens)
+    table = bf_member_table(gens, top)
+    ideal = bf_ideal_set(gens, ideal_gens, 0, top)
+    return [h for h in range(top + 1) if table[h] and h not in ideal]
+
+
 def bf_ord_table(gens, size):
     """ord[h] = longest factorization, by trying every split point.
 

@@ -1,10 +1,12 @@
 """`analyze --json --no-timings` output stays byte-identical.
 
 The files under `golden/` hold the output recorded before the
-semigroup core was rebuilt on the Apéry set (the last three cases:
-before `ord` and the tangent-cone test moved onto the Apéry table of
-the powers of m); any change to a verdict, an invariant, a witness or a
-certificate shows up as a diff here.
+semigroup core was rebuilt on the Apéry set (`47,65,124`, `50,83,134`
+and `10,11,24`: before `ord` and the tangent-cone test moved onto the
+Apéry table of the powers of m; `3,1000,1001`: before the cobasis and
+the graded basis were read off the ideal's Apéry set); any change to a
+verdict, an invariant, a witness or a certificate shows up as a diff
+here.
 """
 
 from pathlib import Path
@@ -25,6 +27,9 @@ CASES = [
     ("10,11,24",),
     ("47,65,124",),
     ("50,83,134",),
+    # F = 998, a witness of cyclic length 667, strongly No at socle
+    # dimension 3: both Apery-set reads on a wide window
+    ("3,1000,1001",),
     ("3,4,5", "--approximate"),
 ]
 

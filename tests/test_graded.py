@@ -104,6 +104,23 @@ def test_graded_model_basis():
     assert [H.ord(j) for j in model.apery_basis] == [1, 1, 3]
 
 
+def test_corrupt_ideal_apery_entry_raises():
+    # the basis is J's cached Apery set, re-checked on J's generators:
+    # moving one entry up or down by e, or out of its class, is caught
+    for gens, shift in ((3, 4, 5), 5), ((4, 5, 6, 7), 8), ((3, 1000, 1001), 1998):
+        H = NumericalSemigroup(gens)
+        e = H.multiplicity
+        for i in range(e):
+            for delta in (e, -e, 1):
+                J = canonical_ideal(H).shift(shift)
+                apery = list(J.apery)
+                apery[i] += delta
+                vars(J)["apery"] = tuple(apery)
+                with pytest.raises(CrossCheckError):
+                    build_graded_model(H, J)
+        build_graded_model(H, canonical_ideal(H).shift(shift))
+
+
 def test_graded_model_needs_cm_cone():
     H = NumericalSemigroup([4, 5, 11])
     with pytest.raises(TangentConeNotCMError):

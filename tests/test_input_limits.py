@@ -10,6 +10,9 @@ from teter import (
     FiberProductRing,
     NumericalSemigroup,
     assoc_graded_is_cm,
+    build_graded_model,
+    canonical_ideal,
+    quotient_data,
     verify_approximation,
 )
 from teter.fiber import MAX_WIDTH
@@ -128,3 +131,32 @@ def test_advised_precision_is_accepted(monkeypatch):
     assert verify_approximation(H, 6, precision=n).precisions_checked == (n, n + 10)
     with pytest.raises(ValueError, match="at most %d" % n):
         verify_approximation(H, 6, precision=n + 1)
+
+
+def test_ideal_reads_scale_with_the_apery_set(no_large_lists, monkeypatch):
+    # <3,10^6,10^6+1> has F = 999,998 and type 2; the witness ideal at
+    # shift 2F + 2 leaves the cyclic cobasis 0, 3, ..., 3 * 666,666.
+    # Both reads go through J's Apery set: a handful of membership tests
+    # per class and generator, none per member up to F
+    H = NumericalSemigroup([3, 1000000, 1000001])
+    s = teter.monomial_teter_witness(H)[0]
+    assert s == 1_999_998
+    J = canonical_ideal(H).shift(s)
+    calls = []
+    contains = NumericalSemigroup.contains
+
+    def counting_contains(self, n):
+        calls.append(n)
+        return contains(self, n)
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", counting_contains)
+    monkeypatch.setattr(NumericalSemigroup, "__contains__", counting_contains)
+    bound = 4 * H.multiplicity * H.cm_type
+    data = quotient_data(H, J)
+    assert data.cobasis == tuple(range(0, 2_000_001, 3))
+    assert (data.cyclic_generator, data.cyclic_length) == (3, 666_667)
+    assert len(calls) <= bound
+    calls.clear()
+    model = build_graded_model(H, J)
+    assert model.apery_basis == (1_000_000, 1_000_001, 2_000_001)
+    assert len(calls) <= bound

@@ -2,11 +2,20 @@ import random
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from teter import NumericalSemigroup, assoc_graded_is_cm, canonical_ideal
+from teter import (
+    NumericalSemigroup,
+    RelativeIdeal,
+    TangentConeNotCMError,
+    assoc_graded_is_cm,
+    build_graded_model,
+    canonical_ideal,
+    quotient_data,
+)
 from teter.modp import RowSpace
 
 gen_lists = st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4)
@@ -73,6 +82,78 @@ def test_canonical_generators_match_oracle(gens):
     # normalized so the smallest element is -F
     assert omega.generators[0] == -H.frobenius
     assert all(g < 0 for g in omega.generators)
+
+
+def candidate_shifts(H):
+    """The witness candidates n + f, n a minimal generator and f a
+    pseudo-Frobenius number."""
+    return sorted({n + f for n in H.generators for f in H.pseudo_frobenius})
+
+
+def assert_ideal_matches(I, elements, lo, hi):
+    # elements: the ideal cut to [lo, hi], a window holding its least
+    # element of every class
+    assert list(I.apery) == oracle.bf_least_per_class(elements, len(I.apery))
+    assert [z in I for z in range(lo, hi + 1)] == [
+        z in elements for z in range(lo, hi + 1)
+    ]
+
+
+@given(gen_lists, st.lists(st.integers(-30, 60), min_size=1, max_size=4))
+@settings(deadline=None, max_examples=60)
+def test_ideal_apery_and_membership_match_oracle(gens, ideal_gens):
+    assume(coprime(gens))
+    H = NumericalSemigroup(gens)
+    e, F = H.multiplicity, H.frobenius
+    # the least element of a class lies below min(I) + F + e
+    lo = min(ideal_gens) - e
+    hi = lo + F + 3 * e
+    I = RelativeIdeal.from_generators(H, ideal_gens)
+    assert_ideal_matches(I, oracle.bf_ideal_set(gens, ideal_gens, lo, hi), lo, hi)
+    # omega + s starts at s - F and holds everything above s
+    omega = canonical_ideal(H)
+    for s in candidate_shifts(H):
+        lo, hi = s - F - e, s + 2 * e
+        elements = oracle.bf_shifted_canonical_set(gens, s, lo, hi)
+        assert_ideal_matches(omega.shift(s), elements, lo, hi)
+
+
+def proper_ideals(H, picks):
+    """The ideal on the picked members (all of m if none is one), and
+    every proper omega + (n + f)."""
+    members = [h for h in picks if h in H] or H.generators
+    out = [RelativeIdeal.from_generators(H, members)]
+    omega = canonical_ideal(H)
+    out += [omega.shift(s) for s in candidate_shifts(H)]
+    return [I for I in out if I.is_proper_ideal()]
+
+
+@given(gen_lists, st.lists(st.integers(1, 80), min_size=1, max_size=4))
+@settings(deadline=None, max_examples=60)
+def test_cobasis_matches_window_scan(gens, picks):
+    assume(coprime(gens))
+    H = NumericalSemigroup(gens)
+    for I in proper_ideals(H, picks):
+        cobasis = oracle.bf_window_cobasis(gens, I.generators)
+        assert list(quotient_data(H, I).cobasis) == cobasis
+
+
+@given(gen_lists, st.lists(st.integers(1, 80), min_size=1, max_size=4))
+@settings(deadline=None, max_examples=60)
+def test_graded_basis_is_the_least_element_per_class(gens, picks):
+    assume(coprime(gens))
+    H = NumericalSemigroup(gens)
+    e, F = H.multiplicity, H.frobenius
+    cone_cm = assoc_graded_is_cm(H)
+    for J in proper_ideals(H, picks):
+        if not cone_cm:
+            with pytest.raises(TangentConeNotCMError):
+                build_graded_model(H, J)
+            continue
+        lo = min(J.generators)
+        elements = oracle.bf_ideal_set(gens, J.generators, lo - e, lo + F + e)
+        expected = sorted(j for j in elements if j - e not in elements)
+        assert list(build_graded_model(H, J).apery_basis) == expected
 
 
 @given(gen_lists)
