@@ -165,9 +165,6 @@ def _facts_line(keys, facts):
 def _cmd_examples(args):
     rows = []
     for gens, expected in _EXPECTED:
-        expected = dict(expected)
-        if args.inject_mismatch and gens == [3, 4, 5]:
-            expected["verdict"] = "Gorenstein"
         facts = _computed_facts(gens, args.seed)
         computed = {k: facts.get(k) for k in expected}
         rows.append((gens, expected, computed, expected == computed))
@@ -235,9 +232,6 @@ def _build_parser():
 
     p_examples = sub.add_parser(
         "examples", parents=[shared], help="replay the reference table"
-    )
-    p_examples.add_argument(
-        "--inject-mismatch", action="store_true", help=argparse.SUPPRESS
     )
     p_examples.set_defaults(func=_cmd_examples)
 

@@ -19,7 +19,9 @@ the true lengths in B.
 
 Everything numerical is done over a small prime field, twice, at two
 different primes and two different precisions; the sweep either agrees
-with itself (and with the semigroup-side multiplicity) or raises.
+with itself (and with the semigroup-side multiplicity) or raises.  Only
+the lengths and the superficial parameter y need the whole model: the
+socle and the graded socle are computed in B/yB, of dimension e(B).
 """
 
 import random
@@ -204,15 +206,14 @@ class FiberProductRing:
     # -- lengths ------------------------------------------------------------
 
     def _power_space(self, k):
-        # span of the k-th power of the maximal ideal, k >= 1
+        # span of the k-th power of the maximal ideal, k >= 1; the first
+        # power is spanned by the rows of the generator matrices
         while len(self._powers) < k:
-            if self._powers:
-                prev = self._powers[-1].rows
-            else:
-                prev = np.eye(self.width, dtype=np.int64)
             nxt = RowSpace(self.prime, self.width)
             for m in self._gen_matrices:
-                nxt.add_matrix(matmul_mod(prev, m, self.prime))
+                if self._powers:
+                    m = matmul_mod(self._powers[-1].rows, m, self.prime)
+                nxt.add_matrix(m)
             self._powers.append(nxt)
         return self._powers[k - 1]
 
@@ -298,12 +299,21 @@ class FiberProductRing:
             "no superficial parameter found modulo %d" % self.prime
         )
 
-    def socle_of_reduction(self, seed=0):
-        """Dimension of the socle of B modulo a superficial parameter."""
+    def _quotient_actions(self, seed):
+        # the non-pivot columns of yB's echelon form are a basis of B/yB,
+        # e(B) of them; generator g acts on it by the e(B) x e(B) matrix
+        # of the residues of its products with those basis elements
         _, span = self._reduction(seed)
-        blocks = [span.reduce_matrix(m) for m in self._gen_matrices]
-        killed = self.width - rank_of(np.hstack(blocks), self.prime)
-        return killed - span.dim
+        free = np.setdiff1d(np.arange(self.width), span.pivots)
+        return [span.reduce_matrix(m[free])[:, free] for m in self._gen_matrices]
+
+    def socle_of_reduction(self, seed=0):
+        """Dimension of the socle of B/yB, y a superficial parameter.
+
+        Computed in B/yB as the common kernel of the generators' actions.
+        """
+        actions = self._quotient_actions(seed)
+        return len(actions[0]) - rank_of(np.hstack(actions).T, self.prime)
 
     def is_gorenstein(self, seed=0):
         return self.socle_of_reduction(seed) == 1
@@ -311,42 +321,32 @@ class FiberProductRing:
     def graded_socle_of_reduction(self, seed=0):
         """Total socle dimension of the associated graded ring of B/yB.
 
-        Works with the filtration T_k = (k-th power of the maximal
-        ideal) + yB inside B itself; a degree-k class is socle exactly
-        when every ideal generator pushes it into T_(k+2).
+        Computed inside B/yB with the powers P_k of its maximal ideal; a
+        degree-k class is socle exactly when every generator pushes it
+        into P_(k+2), so degree k adds dim{x in P_k : xg in P_(k+2) for
+        all g} - dim P_(k+1).
         """
-        _, span = self._reduction(seed)
-        p, w = self.prime, self.width
-        spaces = [None]
-        dims = [w]
-        k = 1
-        while True:
-            t_k = RowSpace(p, w)
-            t_k.add_matrix(span.rows)
-            t_k.add_matrix(self._power_space(k).rows)
-            spaces.append(t_k)
-            dims.append(t_k.dim)
-            if t_k.dim == span.dim:
-                break
-            if k > w:
-                raise CrossCheckError(
-                    "filtration of the reduction failed to terminate"
-                )
-            k += 1
-        top = k
+        actions = self._quotient_actions(seed)
+        p, q = self.prime, len(actions[0])
+        spaces = [RowSpace(p, q)]
+        spaces[0].add_matrix(np.eye(q, dtype=np.int64))
+        # products[k] holds the rows of P_k times each generator
+        products = []
+        while spaces[-1].dim:
+            products.append([matmul_mod(spaces[-1].rows, a, p) for a in actions])
+            nxt = RowSpace(p, q)
+            for prod in products[-1]:
+                nxt.add_matrix(prod)
+            if nxt.dim == spaces[-1].dim:
+                raise CrossCheckError("the maximal ideal of B/yB is not nilpotent")
+            spaces.append(nxt)
+        top = len(products)
 
         total = 0
         for k in range(top):
-            if k == 0:
-                rows = np.eye(w, dtype=np.int64)
-            else:
-                rows = spaces[k].rows
             target = spaces[min(k + 2, top)]
-            cond = np.hstack(
-                [target.reduce_matrix(matmul_mod(rows, m, p)) for m in self._gen_matrices]
-            )
-            annihilated = rows.shape[0] - rank_of(cond, p)
-            total += annihilated - dims[min(k + 1, top)]
+            cond = np.hstack([target.reduce_matrix(prod) for prod in products[k]])
+            total += spaces[k].dim - rank_of(cond.T, p) - spaces[k + 1].dim
         return total
 
 

@@ -156,11 +156,13 @@ class NumericalSemigroup:
     def is_gorenstein(self):
         """Whether H is symmetric, cross-checked against type 1.
 
-        Symmetric means exactly one of z, F-z is a member for every
-        integer z; outside [-1, F+1] this is automatic.
+        H is symmetric iff its Apery elements pair up as w + w' = max Ap
+        (Selmer, "On the linear diophantine problem of Frobenius", 1977):
+        max Ap - w must be the Apery element of its class, a member whose
+        predecessor by e is not.
         """
-        f = self.frobenius
-        symmetric = all((z in self) != (f - z in self) for z in range(-1, f + 2))
+        e, top = self.multiplicity, max(self.apery)
+        symmetric = all(top - w in self and top - w - e not in self for w in self.apery)
         if symmetric != (self.cm_type == 1):
             raise CrossCheckError(
                 "symmetry test and type count disagree for %r" % (self,)

@@ -11,7 +11,7 @@ the end are the exception: they view a ring built by the package.
 import numpy as np
 
 from teter import PrecisionTooSmallError
-from teter.modp import RowSpace, matmul_mod
+from teter.modp import RowSpace, matmul_mod, rank_of
 
 
 def bf_member_table(gens, size):
@@ -88,6 +88,18 @@ def bf_pseudo_frobenius(gens):
         if ok:
             out.append(f)
     return out
+
+
+def bf_symmetric(gens):
+    """Symmetry walk: exactly one of z, F - z is a member for every z
+    in [-1, F + 1]; outside that range it is automatic."""
+    frob = bf_frobenius(gens)
+    table = bf_member_table(gens, frob + 1)
+
+    def member(z):
+        return z >= 0 and bool(table[z])
+
+    return all(member(z) != member(frob - z) for z in range(-1, frob + 2))
 
 
 def bf_apery(gens, m):
@@ -339,7 +351,8 @@ def bf_rank_mod_p(rows, p):
 # independent series arithmetic; basis_pair reads a ring's exponent lists
 # and the matched set that basis_product uses, so products of the pairs
 # check basis_product and the matching condition checks the matched set;
-# kernel_profile reuses the package's RowSpace.
+# kernel_profile and the width-dimensional socles reuse the package's
+# RowSpace.
 
 
 class TruncatedSeries:
@@ -455,3 +468,50 @@ def kernel_profile(ring, depth):
         out.append(total - nxt.dim)
         cur = nxt.rows
     return out
+
+
+def width_socle(ring, seed=0):
+    """Socle of B/yB, computed in all width coordinates of B.
+
+    The x in B with xg in yB for every generator g, less yB itself.
+    """
+    _, span = ring._reduction(seed)
+    blocks = [span.reduce_matrix(m) for m in ring._gen_matrices]
+    killed = ring.width - rank_of(np.hstack(blocks), ring.prime)
+    return killed - span.dim
+
+
+def width_graded_socle(ring, seed=0):
+    """Graded socle of B/yB, computed in all width coordinates of B.
+
+    Works with the filtration T_k = (k-th power of the maximal ideal)
+    + yB inside B itself; a degree-k class is socle exactly when every
+    generator pushes it into T_(k+2).
+    """
+    _, span = ring._reduction(seed)
+    p, w = ring.prime, ring.width
+    spaces = [None]
+    dims = [w]
+    k = 1
+    while True:
+        t_k = RowSpace(p, w)
+        t_k.add_matrix(span.rows)
+        t_k.add_matrix(ring._power_space(k).rows)
+        spaces.append(t_k)
+        dims.append(t_k.dim)
+        if t_k.dim == span.dim:
+            break
+        if k > w:
+            raise AssertionError("filtration of the reduction failed to terminate")
+        k += 1
+    top = k
+
+    total = 0
+    for k in range(top):
+        rows = np.eye(w, dtype=np.int64) if k == 0 else spaces[k].rows
+        target = spaces[min(k + 2, top)]
+        cond = np.hstack(
+            [target.reduce_matrix(matmul_mod(rows, m, p)) for m in ring._gen_matrices]
+        )
+        total += rows.shape[0] - rank_of(cond, p) - dims[min(k + 1, top)]
+    return total

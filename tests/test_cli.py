@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import teter.cli
 from teter import CrossCheckError
 from teter.cli import main
 
@@ -149,8 +150,11 @@ def test_examples_json(capsys):
     assert table[0]["expected"] == table[0]["computed"]
 
 
-def test_examples_detect_drift(capsys):
-    code, out, _ = run(capsys, "examples", "--inject-mismatch")
+def test_examples_detect_drift(capsys, monkeypatch):
+    drifted = [(gens, dict(expected)) for gens, expected in teter.cli._EXPECTED]
+    drifted[0][1]["verdict"] = "Gorenstein"
+    monkeypatch.setattr(teter.cli, "_EXPECTED", drifted)
+    code, out, _ = run(capsys, "examples")
     assert code == 1
     assert "MISMATCH" in out
 

@@ -12,8 +12,19 @@ from teter import (
     build_approximation,
     verify_approximation,
 )
+import teter.fiber
+import teter.modp
+from teter.classify import witness_shifts
 from teter.fiber import default_precision
-from oracle import TruncatedSeries, basis_pair, kernel_profile
+from teter.modp import DEFAULT_PRIME, SECOND_PRIME
+from oracle import (
+    TruncatedSeries,
+    basis_pair,
+    enumerate_semigroups,
+    kernel_profile,
+    width_graded_socle,
+    width_socle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +137,51 @@ def test_graded_socle_of_reduction(ring345, ring4511):
     assert ring345.graded_socle_of_reduction() == 1
     assert FiberProductRing(NumericalSemigroup([3, 4, 5]), 5).graded_socle_of_reduction() == 1
     assert ring4511.graded_socle_of_reduction() == 2
+
+
+def test_socles_match_the_width_dimensional_reference():
+    # every witness shift of every semigroup of genus <= 5, at both primes
+    rings = 0
+    for _, gens in enumerate_semigroups(5):
+        H = NumericalSemigroup(gens)
+        if H.is_gorenstein:
+            continue
+        for shift, _, _ in witness_shifts(H):
+            for p in (DEFAULT_PRIME, SECOND_PRIME):
+                ring = FiberProductRing(H, shift, prime=p)
+                got = (ring.socle_of_reduction(), ring.graded_socle_of_reduction())
+                want = (width_socle(ring), width_graded_socle(ring))
+                assert got == want, (gens, shift, p)
+                rings += 1
+    assert rings == 40
+
+
+def test_socles_stay_inside_the_reduction(monkeypatch):
+    # once yB is eliminated, both socles work in B/yB, of dimension e(B):
+    # no row space and no product is wider or taller than that
+    ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
+    ring._reduction()
+    q = ring.multiplicity()
+    widths, heights = [], []
+
+    class RecordingRowSpace(teter.modp.RowSpace):
+        def __init__(self, p, width):
+            widths.append(width)
+            super().__init__(p, width)
+
+    matmul_mod = teter.modp.matmul_mod
+
+    def recording_matmul_mod(a, b, p):
+        heights.append(len(a))
+        return matmul_mod(a, b, p)
+
+    for module in (teter.fiber, teter.modp):
+        monkeypatch.setattr(module, "RowSpace", RecordingRowSpace)
+        monkeypatch.setattr(module, "matmul_mod", recording_matmul_mod)
+    assert ring.socle_of_reduction() == 1
+    assert ring.graded_socle_of_reduction() == 2
+    assert widths and max(widths) <= q == 5 < ring.width
+    assert heights and max(heights) <= q
 
 
 def test_rejects_gorenstein_base():

@@ -4,9 +4,10 @@ The files under `golden/` hold the output recorded before the
 semigroup core was rebuilt on the Apéry set (`47,65,124`, `50,83,134`
 and `10,11,24`: before `ord` and the tangent-cone test moved onto the
 Apéry table of the powers of m; `3,1000,1001`: before the cobasis and
-the graded basis were read off the ideal's Apéry set); any change to a
-verdict, an invariant, a witness or a certificate shows up as a diff
-here.
+the graded basis were read off the ideal's Apéry set; `4,5,11
+--approximate`: before the socle and the graded socle moved into B/yB);
+any change to a verdict, an invariant, a witness or a certificate shows
+up as a diff here.
 """
 
 from pathlib import Path
@@ -31,6 +32,9 @@ CASES = [
     # dimension 3: both Apery-set reads on a wide window
     ("3,1000,1001",),
     ("3,4,5", "--approximate"),
+    # graded socle dimension 2, the only value other than 1 among the
+    # pinned approximations
+    ("4,5,11", "--approximate"),
 ]
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import oracle
 from teter import (
     EmptyGeneratorsError,
     NonCoprimeError,
@@ -113,6 +114,31 @@ def test_gorenstein():
     assert not NumericalSemigroup([3, 4, 5]).is_gorenstein
     assert not NumericalSemigroup([5, 6, 7, 9]).is_gorenstein
     assert not NumericalSemigroup([4, 7, 9, 10]).is_gorenstein
+
+
+def test_gorenstein_matches_the_symmetry_walk():
+    seen = 0
+    for _, gens in oracle.enumerate_semigroups(11):
+        assert NumericalSemigroup(gens).is_gorenstein == oracle.bf_symmetric(gens), gens
+        seen += 1
+    assert seen == 821
+
+
+def test_gorenstein_reads_the_apery_set(monkeypatch):
+    # F = 997001: a symmetry walk would make about 2F membership tests
+    H = NumericalSemigroup([999, 1000])
+    H.pseudo_frobenius  # the type cross-check, computed beforehand
+    calls = []
+    contains = NumericalSemigroup.contains
+
+    def counting_contains(self, n):
+        calls.append(n)
+        return contains(self, n)
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", counting_contains)
+    monkeypatch.setattr(NumericalSemigroup, "__contains__", counting_contains)
+    assert H.is_gorenstein
+    assert 0 < len(calls) <= 2 * H.multiplicity
 
 
 def test_ord():
