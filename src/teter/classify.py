@@ -140,7 +140,8 @@ def teter_check(H):
         strongly = StronglyTeter(STRONGLY_NO, REASON_CONE_NOT_CM)
     else:
         dim, shift = min(
-            (socle_dim_mod_xstar(build_graded_model(H, J)), s) for s, J, _ in found
+            (socle_dim_mod_xstar(build_graded_model(H, J, cone_cm)), s)
+            for s, J, _ in found
         )
         if dim == 1:
             strongly = StronglyTeter(STRONGLY_YES, None, 1, shift)

@@ -17,11 +17,16 @@ elements above N is an ideal, hence the model is an honest quotient
 ring, and lengths computed below a precision-dependent degree bound are
 the true lengths in B.
 
-Everything numerical is done over a small prime field, twice, at two
-different primes and two different precisions; the sweep either agrees
-with itself (and with the semigroup-side multiplicity) or raises.  Only
-the lengths and the superficial parameter y need the whole model: the
-socle and the graded socle are computed in B/yB, of dimension e(B).
+The lengths are combinatorial too.  Every power of the maximal ideal
+is spanned by bimonomials (t^a or 0, u^j or 0): in the basis, vectors
+with at most one t-index and one u-index, both coefficients 1.  Their
+rank is a union-find count on a bipartite graph, the same over every
+field; one dense elimination per ring cross-checks it.  Only the
+superficial parameter y needs dense linear algebra over the whole
+model: the socle and the graded socle are computed in B/yB, of
+dimension e(B).  The dense steps run over a small prime field, at two
+primes and two precisions; the sweep either agrees with itself (and
+with the semigroup-side multiplicity) or raises.
 """
 
 import random
@@ -48,8 +53,10 @@ from .modp import (
 )
 
 
-# Widest model a FiberProductRing builds: dense memory grows as width^2 and
-# time as width^3 (width 597: 25 s and 395 MB for <3,4,5> on a 2-core VM).
+# Widest model a FiberProductRing builds: the dense steps (y*B and the
+# generator matrices) grow as width^2 in memory and width^3 in time
+# (width 599, `analyze 3,4,5 --approximate --precision 291`: 0.6 s and
+# 74 MB peak on a 2-core x86-64 VM).
 MAX_WIDTH = 600
 
 
@@ -133,9 +140,11 @@ class FiberProductRing:
         if not self._matched <= set(self._t_index):
             raise CrossCheckError("quotient basis escapes the precision window")
 
+        self._product_tables = {}
         self._basis_matrices = {}
         self._powers = []
         self._reductions = {}
+        self._actions = {}
         self._multiplicity = None
 
     # -- basis combinatorics ------------------------------------------------
@@ -175,14 +184,34 @@ class FiberProductRing:
                 out.append(self._u_index[part])
         return out
 
+    def _product_table(self, i):
+        # row j: the t-index and the u-index of basis[i] * basis[j], -1
+        # where there is none.  A last row of -1s lets -1 index "none".
+        table = self._product_tables.get(i)
+        if table is None:
+            nt = len(self.t_exponents)
+            table = np.full((self.width + 1, 2), -1, dtype=np.int64)
+            for j in range(self.width):
+                w = self.basis_product(i, j)
+                if len(w) > 2 or len(w) == 2 and not w[0] < nt <= w[1]:
+                    raise CrossCheckError("product %r is not a bimonomial" % (w,))
+                for x in w:
+                    table[j, int(x >= nt)] = x
+            self._product_tables[i] = table
+        return table
+
+    def _dense(self, pairs):
+        # 0/1 matrix whose rows are the (t-index, u-index) pairs
+        mat = np.zeros((len(pairs), self.width + 1), dtype=np.int64)
+        rows = np.arange(len(pairs))
+        mat[rows, pairs[:, 0]] = 1
+        mat[rows, pairs[:, 1]] = 1
+        return np.ascontiguousarray(mat[:, :-1])
+
     def _basis_matrix(self, i):
         m = self._basis_matrices.get(i)
         if m is None:
-            m = np.zeros((self.width, self.width), dtype=np.int64)
-            for j in range(self.width):
-                for k in self.basis_product(i, j):
-                    m[j, k] += 1
-            m %= self.prime
+            m = self._dense(self._product_table(i)[:-1])
             self._basis_matrices[i] = m
         return m
 
@@ -205,17 +234,70 @@ class FiberProductRing:
 
     # -- lengths ------------------------------------------------------------
 
-    def _power_space(self, k):
-        # span of the k-th power of the maximal ideal, k >= 1; the first
-        # power is spanned by the rows of the generator matrices
+    def _spanning_products(self, k):
+        # the products v * g, v in the basis of the (k-1)-st power (of B
+        # itself for k = 1) and g a generator, span the k-th power.  Each
+        # is a bimonomial (t^a or 0, u^j or 0), stored as its t-index and
+        # u-index (-1 for none); it is the sum of the products of v's two
+        # parts with g, which must not both have a t-index or a u-index.
+        prev = self._powers[k - 2] if k > 1 else None
+        out = []
+        for g in self.generator_indices:
+            table = self._product_table(g)
+            if prev is None:
+                out.append(table[:-1])
+                continue
+            t_part, u_part = table[prev[:, 0]], table[prev[:, 1]]
+            if ((t_part >= 0) & (u_part >= 0)).any():
+                raise CrossCheckError("a product in power %d is not a bimonomial" % k)
+            out.append(np.maximum(t_part, u_part))
+        # distinct nonzero products, each pair coded as one integer
+        base = self.width + 1
+        codes = np.unique(np.vstack(out) @ np.array([base, 1]) + base + 1)
+        codes = codes[codes > 0]
+        return np.stack([codes // base, codes % base], axis=1) - 1
+
+    def _power_basis(self, k):
+        # bimonomial basis of the k-th power of the maximal ideal, k >= 1.
+        # Each pair is an edge between its t-index and its u-index, -1
+        # standing for a ground vertex.  Negating the u-coordinates turns
+        # the vectors into the columns of an oriented incidence matrix
+        # with the ground row deleted, so a set of them is independent
+        # over every field exactly when its edges form a forest: a
+        # union-find keeps a spanning forest.
         while len(self._powers) < k:
-            nxt = RowSpace(self.prime, self.width)
-            for m in self._gen_matrices:
-                if self._powers:
-                    m = matmul_mod(self._powers[-1].rows, m, self.prime)
-                nxt.add_matrix(m)
-            self._powers.append(nxt)
+            parent = {}
+
+            def root(x):
+                while x in parent:
+                    up = parent[x]
+                    if up in parent:
+                        parent[x] = parent[up]
+                    x = up
+                return x
+
+            basis = []
+            for t, u in self._spanning_products(len(self._powers) + 1).tolist():
+                a, b = root(t), root(u)
+                if a != b:
+                    parent[a] = b
+                    basis.append((t, u))
+            self._powers.append(np.array(basis, dtype=np.int64).reshape(-1, 2))
         return self._powers[k - 1]
+
+    def _check_power_rank(self, k):
+        # one dense elimination over F_p of the k-th power's spanning
+        # products must agree with the union-find rank
+        mat = self._dense(self._spanning_products(k))
+        # rank_of eliminates row by row: take the shorter side
+        if len(mat) > self.width:
+            mat = mat.T
+        dense, combinatorial = rank_of(mat, self.prime), len(self._power_basis(k))
+        if dense != combinatorial:
+            raise CrossCheckError(
+                "power %d has rank %d over F_%d but %d by union-find"
+                % (k, dense, self.prime, combinatorial)
+            )
 
     def hilbert_function(self, k):
         """Length of B modulo the (k+1)-st power of the maximal ideal.
@@ -231,33 +313,36 @@ class FiberProductRing:
                 "degree %d exceeds what precision %d certifies"
                 % (k, self.precision)
             )
-        return self.width - self._power_space(k + 1).dim
+        return self.width - len(self._power_basis(k + 1))
 
     def multiplicity(self, max_k=None):
-        """Stable first difference of the Hilbert function.
+        """Largest first difference of the Hilbert function through the cap.
 
-        Demands three equal consecutive differences before believing
-        the value; raises when the budget runs out first.
+        B is Cohen-Macaulay of dimension one, so every difference
+        l(m^k/m^(k+1)) is at most l(m^k/ym^k) = e(B), with equality from
+        some degree on.  The largest difference is believed only when the
+        last three differences reach it; otherwise this raises.
+        ``_reduction`` then certifies it: l(B/yB) >= e(B) for every
+        parameter y, so a y with l(B/yB) equal to the value exists only
+        when the value is e(B).
         """
         if max_k is None and self._multiplicity is not None:
             return self._multiplicity
         cap = self.precision // max(self.semigroup.generators) - 1
         if max_k is not None:
             cap = min(cap, max_k)
-        prev = 0
-        diffs = []
-        for k in range(cap + 1):
-            val = self.hilbert_function(k)
-            diffs.append(val - prev)
-            prev = val
-            if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
-                if max_k is None:
-                    self._multiplicity = diffs[-1]
-                return diffs[-1]
-        raise NonStabilizedError(
-            "Hilbert differences %r did not stabilize; raise the precision"
-            % (diffs,)
-        )
+        profile = [self.hilbert_function(k) for k in range(cap + 1)]
+        self._check_power_rank(cap + 1)
+        diffs = [b - a for a, b in zip([0] + profile, profile)]
+        top = max(diffs)
+        if len(diffs) < 3 or diffs[-3:] != [top] * 3:
+            raise NonStabilizedError(
+                "Hilbert differences %r did not stabilize; raise the precision"
+                % (diffs,)
+            )
+        if max_k is None:
+            self._multiplicity = top
+        return top
 
     # -- reduction by a superficial parameter --------------------------------
 
@@ -303,9 +388,13 @@ class FiberProductRing:
         # the non-pivot columns of yB's echelon form are a basis of B/yB,
         # e(B) of them; generator g acts on it by the e(B) x e(B) matrix
         # of the residues of its products with those basis elements
-        _, span = self._reduction(seed)
-        free = np.setdiff1d(np.arange(self.width), span.pivots)
-        return [span.reduce_matrix(m[free])[:, free] for m in self._gen_matrices]
+        if seed not in self._actions:
+            _, span = self._reduction(seed)
+            free = np.setdiff1d(np.arange(self.width), span.pivots)
+            self._actions[seed] = [
+                span.reduce_matrix(m[free])[:, free] for m in self._gen_matrices
+            ]
+        return self._actions[seed]
 
     def socle_of_reduction(self, seed=0):
         """Dimension of the socle of B/yB, y a superficial parameter.

@@ -62,16 +62,19 @@ class GradedModel:
     apery_basis: tuple
 
 
-def build_graded_model(H, J):
+def build_graded_model(H, J, cone_cm=None):
     """Model the graded module of J ∩ m^n degrees, quotiented by x*.
 
     Requires J proper and the tangent cone Cohen-Macaulay (otherwise
     the quotient has no finite monomial basis and the strongly-Teter
-    verdict is already settled).
+    verdict is already settled).  ``cone_cm`` is the verdict of
+    ``assoc_graded_is_cm(H)`` when the caller holds it already.
     """
     if not J.is_proper_ideal():
         raise ImproperIdealError("%r is not a proper ideal" % (J.generators,))
-    if not assoc_graded_is_cm(H):
+    if cone_cm is None:
+        cone_cm = assoc_graded_is_cm(H)
+    if not cone_cm:
         raise TangentConeNotCMError(
             "tangent cone of %r is not Cohen-Macaulay" % (H,)
         )

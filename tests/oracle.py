@@ -351,8 +351,8 @@ def bf_rank_mod_p(rows, p):
 # independent series arithmetic; basis_pair reads a ring's exponent lists
 # and the matched set that basis_product uses, so products of the pairs
 # check basis_product and the matching condition checks the matched set;
-# kernel_profile and the width-dimensional socles reuse the package's
-# RowSpace.
+# kernel_profile, the dense power spaces and the width-dimensional socles
+# reuse the package's RowSpace.
 
 
 class TruncatedSeries:
@@ -470,6 +470,22 @@ def kernel_profile(ring, depth):
     return out
 
 
+def dense_power_space(ring, previous=None):
+    """The power of the maximal ideal of ring after ``previous``, densely.
+
+    m itself when previous is None: the rows of the generator matrices;
+    otherwise m^(k+1), the rows of previous = m^k times each generator
+    matrix.  A row space in all width coordinates.
+    """
+    p = ring.prime
+    space = RowSpace(p, ring.width)
+    for m in ring._gen_matrices:
+        if previous is not None:
+            m = matmul_mod(previous.rows, m, p)
+        space.add_matrix(m)
+    return space
+
+
 def width_socle(ring, seed=0):
     """Socle of B/yB, computed in all width coordinates of B.
 
@@ -492,11 +508,13 @@ def width_graded_socle(ring, seed=0):
     p, w = ring.prime, ring.width
     spaces = [None]
     dims = [w]
+    power = None
     k = 1
     while True:
+        power = dense_power_space(ring, power)
         t_k = RowSpace(p, w)
         t_k.add_matrix(span.rows)
-        t_k.add_matrix(ring._power_space(k).rows)
+        t_k.add_matrix(power.rows)
         spaces.append(t_k)
         dims.append(t_k.dim)
         if t_k.dim == span.dim:

@@ -1,8 +1,12 @@
 import random
+import time
 
 import pytest
 
+import numpy as np
+
 from teter import (
+    CrossCheckError,
     FiberProductRing,
     GorensteinInputError,
     NonStabilizedError,
@@ -10,6 +14,7 @@ from teter import (
     NumericalSemigroup,
     PrecisionTooSmallError,
     build_approximation,
+    teter_check,
     verify_approximation,
 )
 import teter.fiber
@@ -20,6 +25,7 @@ from teter.modp import DEFAULT_PRIME, SECOND_PRIME
 from oracle import (
     TruncatedSeries,
     basis_pair,
+    dense_power_space,
     enumerate_semigroups,
     kernel_profile,
     width_graded_socle,
@@ -115,10 +121,28 @@ def test_multiplicity(ring345, ring4511):
     assert ring4511.multiplicity() == 5
 
 
+def test_multiplicity_takes_the_largest_difference():
+    # differences 1,4,5,6,6,6,7,7,7: three equal differences (6) come
+    # before the multiplicity 7, which the largest difference gives
+    ring = FiberProductRing(NumericalSemigroup([6, 7, 15, 16]), 24)
+    profile = [ring.hilbert_function(k) for k in range(9)]
+    diffs = [b - a for a, b in zip([0] + profile, profile)]
+    assert diffs == [1, 4, 5, 6, 6, 6, 7, 7, 7]
+    assert ring.multiplicity() == 7
+    cert = verify_approximation(NumericalSemigroup([6, 7, 15, 16]), 24)
+    assert cert.multiplicity == 7
+    assert cert.hilbert == (1, 5, 10, 16, 22, 28, 35, 42, 49)
+    assert (cert.socle_dim, cert.graded_socle_dim) == (1, 2)
+
+
 def test_multiplicity_budget_too_small():
     ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
     with pytest.raises(NonStabilizedError):
         ring.multiplicity(max_k=1)
+    # differences 1,3,4,4: two at the largest value are not enough
+    with pytest.raises(NonStabilizedError):
+        ring.multiplicity(max_k=3)
+    assert ring.multiplicity(max_k=4) == 4
 
 
 def test_kernel_profile(ring345):
@@ -139,20 +163,103 @@ def test_graded_socle_of_reduction(ring345, ring4511):
     assert ring4511.graded_socle_of_reduction() == 2
 
 
+def _witness_rings(max_genus):
+    # (semigroup, shift) for every witness shift up to the genus
+    for _, gens in enumerate_semigroups(max_genus):
+        H = NumericalSemigroup(gens)
+        if not H.is_gorenstein:
+            for shift, _, _ in witness_shifts(H):
+                yield H, shift
+
+
+APPROXIMATE_RINGS = [
+    ((3, 4, 5), 6),
+    ((4, 5, 11), 11),
+    ((5, 6, 13), 20),
+    ((5, 6, 7, 8, 9), 10),
+]
+
+
+def test_hilbert_function_matches_the_dense_powers():
+    # every power the certificate reads, against dense elimination: equal
+    # dimensions, and the union-find basis inside the dense span
+    cases = list(_witness_rings(6))
+    cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
+    rings = 0
+    for H, shift in cases:
+        for p in (DEFAULT_PRIME, SECOND_PRIME):
+            ring = FiberProductRing(H, shift, prime=p)
+            power = None
+            for k in range(ring.precision // max(H.generators)):
+                power = dense_power_space(ring, power)
+                assert ring.hilbert_function(k) == ring.width - power.dim
+                # pairs of (t-index, u-index), -1 for none: the last column
+                basis = ring._power_basis(k + 1)
+                mat = np.zeros((len(basis), ring.width + 1), dtype=np.int64)
+                mat[np.arange(len(basis))[:, None], basis] = 1
+                assert not power.reduce_matrix(mat[:, :-1]).any(), (H, shift, p, k)
+            rings += 1
+    assert rings == 2 * len(cases) == 2 * (40 + 4)
+
+
+BROKEN_PRODUCTS = {
+    # a third index, or a repeated one, on products with two indices
+    "three-indices": lambda ring, j, out: out + [out[-1] + 1] if len(out) == 2 else out,
+    "repeated-index": lambda ring, j, out: out + [out[-1]] if len(out) == 2 else out,
+    # products of a pure tail get a t-index: each is a bimonomial on its
+    # own, but not its sum with the product of a t-index
+    "clashing-parts": lambda ring, j, out: (
+        [0] + out if out and j >= len(ring.t_exponents) else out
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BROKEN_PRODUCTS))
+def test_non_bimonomial_product_raises(monkeypatch, fault):
+    basis_product = FiberProductRing.basis_product
+
+    def broken(self, i, j):
+        return BROKEN_PRODUCTS[fault](self, j, basis_product(self, i, j))
+
+    monkeypatch.setattr(FiberProductRing, "basis_product", broken)
+    ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
+    with pytest.raises(CrossCheckError, match="not a bimonomial"):
+        ring.multiplicity()
+
+
+def test_power_rank_mismatch_raises(monkeypatch):
+    rank_of = teter.fiber.rank_of
+    monkeypatch.setattr(teter.fiber, "rank_of", lambda mat, p: rank_of(mat, p) + 1)
+    ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
+    with pytest.raises(CrossCheckError, match="union-find"):
+        ring.multiplicity()
+
+
+def test_multiplicity_makes_no_dense_products(monkeypatch):
+    calls = []
+    matmul_mod = teter.modp.matmul_mod
+
+    def counting_matmul_mod(a, b, p):
+        calls.append(np.shape(a))
+        return matmul_mod(a, b, p)
+
+    for module in (teter.fiber, teter.modp):
+        monkeypatch.setattr(module, "matmul_mod", counting_matmul_mod)
+    ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
+    assert ring.multiplicity() == 5
+    assert calls == []
+
+
 def test_socles_match_the_width_dimensional_reference():
     # every witness shift of every semigroup of genus <= 5, at both primes
     rings = 0
-    for _, gens in enumerate_semigroups(5):
-        H = NumericalSemigroup(gens)
-        if H.is_gorenstein:
-            continue
-        for shift, _, _ in witness_shifts(H):
-            for p in (DEFAULT_PRIME, SECOND_PRIME):
-                ring = FiberProductRing(H, shift, prime=p)
-                got = (ring.socle_of_reduction(), ring.graded_socle_of_reduction())
-                want = (width_socle(ring), width_graded_socle(ring))
-                assert got == want, (gens, shift, p)
-                rings += 1
+    for H, shift in _witness_rings(5):
+        for p in (DEFAULT_PRIME, SECOND_PRIME):
+            ring = FiberProductRing(H, shift, prime=p)
+            got = (ring.socle_of_reduction(), ring.graded_socle_of_reduction())
+            want = (width_socle(ring), width_graded_socle(ring))
+            assert got == want, (H, shift, p)
+            rings += 1
     assert rings == 40
 
 
@@ -267,3 +374,22 @@ def test_verify_approximation_wider_rings(gens, shift, hilbert):
 def test_power_spaces_shrink(ring345):
     dims = [ring345.width - ring345.hilbert_function(k) for k in range(6)]
     assert dims == sorted(dims, reverse=True)
+
+
+def test_every_small_genus_witness_verifies():
+    # all 211 Teter semigroups of genus <= 11, at the reported shift; the
+    # budget holds with headroom on a slow 2-core machine
+    start = time.perf_counter()
+    verified = 0
+    for _, gens in enumerate_semigroups(11):
+        H = NumericalSemigroup(gens)
+        report = teter_check(H)
+        if report.witness is None:
+            continue
+        cert = verify_approximation(H, report.witness.shift)
+        assert cert.multiplicity == H.multiplicity + 1, gens
+        assert cert.socle_dim == 1 and cert.gorenstein, gens
+        verified += 1
+    elapsed = time.perf_counter() - start
+    assert verified == 211
+    assert elapsed < 60.0, "census verification took %.1fs" % elapsed

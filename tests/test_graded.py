@@ -125,6 +125,9 @@ def test_graded_model_needs_cm_cone():
     H = NumericalSemigroup([4, 5, 11])
     with pytest.raises(TangentConeNotCMError):
         build_graded_model(H, canonical_ideal(H).shift(11))
+    # a verdict handed in by the caller is held to the same guard
+    with pytest.raises(TangentConeNotCMError):
+        build_graded_model(H, canonical_ideal(H).shift(11), cone_cm=False)
 
 
 def test_apery_basis_count_is_multiplicity():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import oracle
 import teter.cli
-from teter import NumericalSemigroup, classify, teter_check
+from teter import NumericalSemigroup, classify, graded, teter_check
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -56,6 +56,24 @@ def test_teter_check_scans_once_and_tests_the_cone_once(monkeypatch):
     r = teter_check(NumericalSemigroup([4, 5, 6, 7]))
     assert (r.witness.shift, r.strongly.shift, r.tangent_cone_cm) == (8, 7, True)
     assert calls == {"witness_shifts": 1, "apery_set": 1}
+
+
+def test_cone_criteria_run_once_per_semigroup(monkeypatch):
+    # build_graded_model takes teter_check's cone verdict instead of
+    # evaluating both criteria again at every certifying shift
+    calls = []
+    assoc_graded_is_cm = graded.assoc_graded_is_cm
+
+    def counting_assoc_graded_is_cm(H):
+        calls.append(H)
+        return assoc_graded_is_cm(H)
+
+    for module in (classify, graded):
+        monkeypatch.setattr(module, "assoc_graded_is_cm", counting_assoc_graded_is_cm)
+    census = [NumericalSemigroup(list(g)) for _, g in oracle.enumerate_semigroups(9)]
+    # a Yes reads the graded model, built at every certifying shift
+    assert "Yes" in [teter_check(H).strongly.status for H in census]
+    assert len(calls) == len(census)
 
 
 def _load_tracing():
