@@ -51,8 +51,9 @@ class PrecisionTooSmallError(TeterError, ValueError):
 
 
 class NonStabilizedError(TeterError):
-    """Hilbert function differences did not stabilize within the modeled
-    window; raise the precision."""
+    """No Hilbert function difference within the modeled window reached
+    l(B/yB) for any parameter candidate y, so e(B) is not certified;
+    raise the precision."""
 
 
 class ParameterNotRegularError(TeterError):

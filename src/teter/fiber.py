@@ -21,14 +21,20 @@ The lengths are combinatorial too.  Every power of the maximal ideal
 is spanned by bimonomials (t^a or 0, u^j or 0): in the basis, vectors
 with at most one t-index and one u-index, both coefficients 1.  Their
 rank is a union-find count on a bipartite graph, the same over every
-field; one dense elimination per ring cross-checks it.  Only the
-superficial parameter y needs dense linear algebra over the whole
-model: the socle and the graded socle are computed in B/yB, of
-dimension e(B).  The dense steps run over a small prime field, at two
-primes and two precisions; the sweep either agrees with itself (and
-with the semigroup-side multiplicity) or raises.
+field, so the product tables and the power bases are built once per
+precision and shared by the primes; one dense elimination per ring
+cross-checks a rank.  The rows of yB, for the superficial parameter y,
+lead at distinct basis indices, so B/yB needs no elimination either:
+the other indices are its basis, and a sweep over the rows projects
+every basis element onto them.  The multiplicity e(B) is certified by
+the first Hilbert difference equal to l(B/yB), and the socle and the
+graded socle are computed in B/yB, of dimension e(B).  Everything
+modulo p runs at two primes and two precisions; the sweep either
+agrees with itself (and with the semigroup-side multiplicity) or
+raises.
 """
 
+import copy
 import random
 from dataclasses import dataclass
 
@@ -53,10 +59,10 @@ from .modp import (
 )
 
 
-# Widest model a FiberProductRing builds: the dense steps (y*B and the
-# generator matrices) grow as width^2 in memory and width^3 in time
-# (width 599, `analyze 3,4,5 --approximate --precision 291`: 0.6 s and
-# 74 MB peak on a 2-core x86-64 VM).
+# Widest model a FiberProductRing builds: the one dense step, the rank
+# check of a power of the maximal ideal, grows as width^2 in memory and
+# width^3 in time (width 599, `analyze 3,4,5 --approximate --precision
+# 291`: 0.2 s and 42 MB peak on a 2-core x86-64 VM).
 MAX_WIDTH = 600
 
 
@@ -141,11 +147,10 @@ class FiberProductRing:
             raise CrossCheckError("quotient basis escapes the precision window")
 
         self._product_tables = {}
-        self._basis_matrices = {}
         self._powers = []
         self._reductions = {}
         self._actions = {}
-        self._multiplicity = None
+        self._multiplicity = self._stop_degree = None
 
     # -- basis combinatorics ------------------------------------------------
 
@@ -187,6 +192,7 @@ class FiberProductRing:
     def _product_table(self, i):
         # row j: the t-index and the u-index of basis[i] * basis[j], -1
         # where there is none.  A last row of -1s lets -1 index "none".
+        # A pure tail is (0, u^j), so its products have no t-index.
         table = self._product_tables.get(i)
         if table is None:
             nt = len(self.t_exponents)
@@ -195,6 +201,10 @@ class FiberProductRing:
                 w = self.basis_product(i, j)
                 if len(w) > 2 or len(w) == 2 and not w[0] < nt <= w[1]:
                     raise CrossCheckError("product %r is not a bimonomial" % (w,))
+                if w and w[0] < nt and (i >= nt or j >= nt):
+                    raise CrossCheckError(
+                        "product %r of a pure tail is not a bimonomial in u" % (w,)
+                    )
                 for x in w:
                     table[j, int(x >= nt)] = x
             self._product_tables[i] = table
@@ -208,18 +218,11 @@ class FiberProductRing:
         mat[rows, pairs[:, 1]] = 1
         return np.ascontiguousarray(mat[:, :-1])
 
-    def _basis_matrix(self, i):
-        m = self._basis_matrices.get(i)
-        if m is None:
-            m = self._dense(self._product_table(i)[:-1])
-            self._basis_matrices[i] = m
-        return m
-
     def mult_matrix(self, vec):
         """Multiplication by the element with coordinate row vec."""
         out = np.zeros((self.width, self.width), dtype=np.int64)
         for i in np.nonzero(np.asarray(vec))[0]:
-            out += int(vec[i]) * self._basis_matrix(int(i))
+            out += int(vec[i]) * self._dense(self._product_table(int(i))[:-1])
         return out % self.prime
 
     @property
@@ -228,9 +231,16 @@ class FiberProductRing:
         t_part = tuple(self._t_index[n] for n in self.semigroup.generators)
         return t_part + (self._u_index[self.cyclic_length],)
 
-    @property
-    def _gen_matrices(self):
-        return [self._basis_matrix(i) for i in self.generator_indices]
+    def _over(self, prime):
+        # the same model over F_prime.  The product tables and the power
+        # bases are the same over every field, so the copy shares them;
+        # everything read modulo the prime starts afresh.
+        check_modulus(prime)
+        ring = copy.copy(self)
+        ring.prime = prime
+        ring._reductions, ring._actions = {}, {}
+        ring._multiplicity = ring._stop_degree = None
+        return ring
 
     # -- lengths ------------------------------------------------------------
 
@@ -316,33 +326,40 @@ class FiberProductRing:
         return self.width - len(self._power_basis(k + 1))
 
     def multiplicity(self, max_k=None):
-        """Largest first difference of the Hilbert function through the cap.
+        """e(B), certified by one Hilbert difference equal to l(B/yB).
 
-        B is Cohen-Macaulay of dimension one, so every difference
-        l(m^k/m^(k+1)) is at most l(m^k/ym^k) = e(B), with equality from
-        some degree on.  The largest difference is believed only when the
-        last three differences reach it; otherwise this raises.
-        ``_reduction`` then certifies it: l(B/yB) >= e(B) for every
-        parameter y, so a y with l(B/yB) equal to the value exists only
-        when the value is e(B).
+        B is Cohen-Macaulay of dimension one, so for a parameter y every
+        difference h(k) = l(m^k/m^(k+1)) is at most l(m^k/ym^k) = l(B/yB),
+        with equality exactly when m^(k+1) = y m^k.  That holds for every
+        k from the reduction number on, where h(k) = e(B).  So the first
+        difference equal to l(B/yB) certifies e(B) = l(B/yB), and every
+        later difference equals it.  The parameter candidates are tried
+        in turn, each against the differences through the cap (at most
+        ``max_k``); this raises when no candidate's l(B/yB) is reached.
         """
         if max_k is None and self._multiplicity is not None:
             return self._multiplicity
         cap = self.precision // max(self.semigroup.generators) - 1
         if max_k is not None:
             cap = min(cap, max_k)
-        profile = [self.hilbert_function(k) for k in range(cap + 1)]
-        self._check_power_rank(cap + 1)
+        profile = []
+        for vec in self._parameter_candidates(0):
+            reduction = self._reduce_by(vec)
+            q = len(reduction[1])
+            for k in range(cap + 1):
+                if k == len(profile):
+                    profile.append(self.hilbert_function(k))
+                if profile[k] - (profile[k - 1] if k else 0) == q:
+                    self._check_power_rank(k + 1)
+                    if max_k is None:
+                        self._multiplicity, self._stop_degree = q, k
+                        self._reductions[0] = reduction
+                    return q
         diffs = [b - a for a, b in zip([0] + profile, profile)]
-        top = max(diffs)
-        if len(diffs) < 3 or diffs[-3:] != [top] * 3:
-            raise NonStabilizedError(
-                "Hilbert differences %r did not stabilize; raise the precision"
-                % (diffs,)
-            )
-        if max_k is None:
-            self._multiplicity = top
-        return top
+        raise NonStabilizedError(
+            "Hilbert differences %r reach l(B/yB) for no parameter candidate; "
+            "raise the precision" % (diffs,)
+        )
 
     # -- reduction by a superficial parameter --------------------------------
 
@@ -365,34 +382,91 @@ class FiberProductRing:
             vec[tail] = (vec[tail] + lam) % self.prime
             yield vec
 
-    def _reduction(self, seed=0):
-        try:
-            return self._reductions[seed]
-        except KeyError:
-            pass
-        target = self.multiplicity()
-        for vec in self._parameter_candidates(seed):
-            span = RowSpace(self.prime, self.width)
-            span.add_matrix(self.mult_matrix(vec))
-            # length of B/yB equals the multiplicity exactly when y
-            # generates a minimal reduction; anything larger means the
-            # candidate was not superficial
-            if self.width - span.dim == target:
-                self._reductions[seed] = (vec, span)
-                return self._reductions[seed]
-        raise ParameterNotRegularError(
-            "no superficial parameter found modulo %d" % self.prime
+    def _reduce_by(self, vec):
+        # B/yB without elimination.  y has two or three terms, so the rows
+        # y*b_j of yB are read off their product tables.  The nonzero rows
+        # must lead (least index) at distinct indices: then they are
+        # independent, and the other indices, the free ones, number
+        # l(B/yB).  Row r of yB is the sum of coeff[r, l] b_(index[r, l]),
+        # leading at index[r, 0]; the padding is index width, coefficient 0.
+        p, w = self.prime, self.width
+        terms = np.nonzero(vec)[0]
+        index = np.hstack([self._product_table(int(i))[:-1] for i in terms])
+        coeff = np.broadcast_to(np.repeat(vec[terms], 2), index.shape)
+        hit = index >= 0
+        # like terms summed mod p (the float sums are far below 2^53); the
+        # codes sort by row, then by index, so a row's first entry leads
+        codes, where = np.unique(
+            np.nonzero(hit)[0] * w + index[hit], return_inverse=True
         )
+        total = np.bincount(where, coeff[hit]).astype(np.int64) % p
+        row, col = np.divmod(codes[total > 0], w)
+        total = total[total > 0]
+        first = np.r_[True, row[1:] != row[:-1]]
+        lead = col[first]
+        if len(np.unique(lead)) < len(lead):
+            raise CrossCheckError("two rows of yB lead at one index mod %d" % p)
+        owner = np.cumsum(first) - 1
+        place = np.arange(len(col)) - np.flatnonzero(first)[owner]
+        index = np.full((len(lead), place.max(initial=0) + 1), w, dtype=np.int64)
+        coeff = np.zeros(index.shape, dtype=np.int64)
+        index[owner, place], coeff[owner, place] = col, total
+        free = np.setdiff1d(np.arange(w), lead)
+
+        proj = self._projection(index, coeff, free)
+        # proj is onto (the identity on the free indices) and kills yB, so
+        # rank(yB) <= width - q; the distinct leading indices give >=
+        if not np.array_equal(proj[free], np.eye(len(free), dtype=np.int64)):
+            raise CrossCheckError("the projection onto B/yB moves a free index")
+        if ((proj[index] * coeff[:, :, None]).sum(axis=1) % p).any():
+            raise CrossCheckError("the projection onto B/yB misses a row of yB")
+        return vec, free, proj
+
+    def _projection(self, index, coeff, free):
+        # row j: the image of b_j in B/yB, in the basis of the free
+        # indices; the last row, for the padding index, is zero.  Each row
+        # of yB writes its leading index as a combination of larger ones,
+        # so a sweep over all rows at once finishes every index whose
+        # row's other indices were finished; sweeps stop at the fixed
+        # point, one more than the longest chain of leading indices.
+        p = self.prime
+        proj = np.zeros((self.width + 1, len(free)), dtype=np.int64)
+        proj[free, np.arange(len(free))] = 1
+        lead, rest, weight = index[:, 0], index[:, 1:], coeff[:, 1:, None]
+        scale = np.array(
+            [p - pow(a, -1, p) for a in coeff[:, 0].tolist()], dtype=np.int64
+        )[:, None]
+        while True:
+            new = scale * ((weight * proj[rest]).sum(axis=1) % p) % p
+            if np.array_equal(new, proj[lead]):
+                return proj
+            proj[lead] = new
+
+    def _reduction(self, seed=0):
+        # the first candidate of this seed with l(B/yB) = e(B): a minimal
+        # reduction; multiplicity() has found the one of seed 0
+        target = self.multiplicity()
+        if seed not in self._reductions:
+            for vec in self._parameter_candidates(seed):
+                reduction = self._reduce_by(vec)
+                if len(reduction[1]) == target:
+                    self._reductions[seed] = reduction
+                    break
+            else:
+                raise ParameterNotRegularError(
+                    "no superficial parameter found modulo %d" % self.prime
+                )
+        return self._reductions[seed]
 
     def _quotient_actions(self, seed):
-        # the non-pivot columns of yB's echelon form are a basis of B/yB,
-        # e(B) of them; generator g acts on it by the e(B) x e(B) matrix
-        # of the residues of its products with those basis elements
+        # the free indices are a basis of B/yB, e(B) of them; generator g
+        # acts on it by the e(B) x e(B) matrix of the images of its
+        # products with those basis elements
         if seed not in self._actions:
-            _, span = self._reduction(seed)
-            free = np.setdiff1d(np.arange(self.width), span.pivots)
+            _, free, proj = self._reduction(seed)
             self._actions[seed] = [
-                span.reduce_matrix(m[free])[:, free] for m in self._gen_matrices
+                (proj[table[free, 0]] + proj[table[free, 1]]) % self.prime
+                for table in map(self._product_table, self.generator_indices)
             ]
         return self._actions[seed]
 
@@ -490,17 +564,22 @@ def verify_approximation(
     cap = n0 // max(semigroup.generators) - 1
 
     runs = []
-    for p in primes:
-        for n in (n0, n0 + step):
-            if p == primes[0] and n == n0:
-                ring = base
-            else:
-                ring = FiberProductRing(semigroup, shift, precision=n, prime=p)
+    for n in (n0, n0 + step):
+        # the prime-free part (product tables, power bases) is built once
+        # per precision and shared by the rings over the other primes
+        first = base
+        if n != n0:
+            first = FiberProductRing(semigroup, shift, precision=n, prime=primes[0])
+        for p in primes:
+            ring = first if p == primes[0] else first._over(p)
             e_b = ring.multiplicity()
-            profile = tuple(ring.hilbert_function(k) for k in range(cap + 1))
+            # every difference from the stop degree on is e(B)
+            k0 = min(ring._stop_degree, cap)
+            profile = [ring.hilbert_function(k) for k in range(k0 + 1)]
+            profile += [profile[k0] + (k - k0) * e_b for k in range(k0 + 1, cap + 1)]
             soc = ring.socle_of_reduction(seed)
             graded = ring.graded_socle_of_reduction(seed)
-            runs.append((e_b, profile, soc, graded))
+            runs.append((e_b, tuple(profile), soc, graded))
 
     if any(run != runs[0] for run in runs[1:]):
         raise CrossCheckError(

@@ -351,8 +351,9 @@ def bf_rank_mod_p(rows, p):
 # independent series arithmetic; basis_pair reads a ring's exponent lists
 # and the matched set that basis_product uses, so products of the pairs
 # check basis_product and the matching condition checks the matched set;
-# kernel_profile, the dense power spaces and the width-dimensional socles
-# reuse the package's RowSpace.
+# the dense generator matrices, the dense reduction by y, kernel_profile,
+# the dense power spaces and the width-dimensional socles start from
+# ``mult_matrix`` and reuse the package's RowSpace.
 
 
 class TruncatedSeries:
@@ -453,6 +454,20 @@ def basis_pair(ring, i):
     return t_side, u_side
 
 
+def gen_matrices(ring):
+    """Dense multiplication matrices of the generators of the maximal ideal."""
+    unit = np.eye(ring.width, dtype=np.int64)
+    return [ring.mult_matrix(unit[g]) for g in ring.generator_indices]
+
+
+def dense_reduction(ring, seed=0):
+    """yB as a row space, y the parameter the ring accepted for the seed."""
+    vec = ring._reduction(seed)[0]
+    span = RowSpace(ring.prime, ring.width)
+    span.add_matrix(ring.mult_matrix(vec))
+    return span
+
+
 def kernel_profile(ring, depth):
     """Lengths of K/(m^k K) for the kernel K of the t-side projection."""
     p, w = ring.prime, ring.width
@@ -463,7 +478,7 @@ def kernel_profile(ring, depth):
     out = []
     for _ in range(depth):
         nxt = RowSpace(p, w)
-        for m in ring._gen_matrices:
+        for m in gen_matrices(ring):
             nxt.add_matrix(matmul_mod(cur, m, p))
         out.append(total - nxt.dim)
         cur = nxt.rows
@@ -479,7 +494,7 @@ def dense_power_space(ring, previous=None):
     """
     p = ring.prime
     space = RowSpace(p, ring.width)
-    for m in ring._gen_matrices:
+    for m in gen_matrices(ring):
         if previous is not None:
             m = matmul_mod(previous.rows, m, p)
         space.add_matrix(m)
@@ -491,8 +506,8 @@ def width_socle(ring, seed=0):
 
     The x in B with xg in yB for every generator g, less yB itself.
     """
-    _, span = ring._reduction(seed)
-    blocks = [span.reduce_matrix(m) for m in ring._gen_matrices]
+    span = dense_reduction(ring, seed)
+    blocks = [span.reduce_matrix(m) for m in gen_matrices(ring)]
     killed = ring.width - rank_of(np.hstack(blocks), ring.prime)
     return killed - span.dim
 
@@ -504,7 +519,8 @@ def width_graded_socle(ring, seed=0):
     + yB inside B itself; a degree-k class is socle exactly when every
     generator pushes it into T_(k+2).
     """
-    _, span = ring._reduction(seed)
+    span = dense_reduction(ring, seed)
+    gens = gen_matrices(ring)
     p, w = ring.prime, ring.width
     spaces = [None]
     dims = [w]
@@ -529,7 +545,7 @@ def width_graded_socle(ring, seed=0):
         rows = np.eye(w, dtype=np.int64) if k == 0 else spaces[k].rows
         target = spaces[min(k + 2, top)]
         cond = np.hstack(
-            [target.reduce_matrix(matmul_mod(rows, m, p)) for m in ring._gen_matrices]
+            [target.reduce_matrix(matmul_mod(rows, m, p)) for m in gens]
         )
         total += rows.shape[0] - rank_of(cond, p) - dims[min(k + 1, top)]
     return total

@@ -57,6 +57,21 @@ def test_analyze_with_approximation(capsys):
     assert appr["primes"] == [32003, 65521]
 
 
+@pytest.mark.parametrize(
+    "gens, shift", [("7,8,17,18,19", 28), ("7,8,17,18,27", 27)]
+)
+def test_analyze_approximation_with_a_late_reduction_number(capsys, gens, shift):
+    # the Hilbert differences reach l(B/yB) = 8 only at the last degree or
+    # two the default precision certifies
+    code, out, _ = run(
+        capsys, "analyze", gens, "--json", "--no-timings", "--approximate"
+    )
+    assert code == 0
+    appr = json.loads(out)["approximation"]
+    assert (appr["shift"], appr["multiplicity"]) == (shift, 8)
+    assert appr["socle_dim"] == 1
+
+
 def test_analyze_approximation_without_witness_is_skipped(capsys):
     code, out, err = run(
         capsys, "analyze", "5,6,7,9", "--json", "--no-timings", "--approximate"

@@ -26,7 +26,9 @@ from oracle import (
     TruncatedSeries,
     basis_pair,
     dense_power_space,
+    dense_reduction,
     enumerate_semigroups,
+    gen_matrices,
     kernel_profile,
     width_graded_socle,
     width_socle,
@@ -137,11 +139,11 @@ def test_multiplicity_takes_the_largest_difference():
 
 def test_multiplicity_budget_too_small():
     ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
-    with pytest.raises(NonStabilizedError):
+    # differences 1,3 never reach l(B/yB) = 4
+    with pytest.raises(NonStabilizedError, match="no parameter candidate"):
         ring.multiplicity(max_k=1)
-    # differences 1,3,4,4: two at the largest value are not enough
-    with pytest.raises(NonStabilizedError):
-        ring.multiplicity(max_k=3)
+    # differences 1,3,4: one difference equal to l(B/yB) certifies e(B)
+    assert ring.multiplicity(max_k=3) == 4
     assert ring.multiplicity(max_k=4) == 4
 
 
@@ -264,10 +266,10 @@ def test_socles_match_the_width_dimensional_reference():
 
 
 def test_socles_stay_inside_the_reduction(monkeypatch):
-    # once yB is eliminated, both socles work in B/yB, of dimension e(B):
-    # no row space and no product is wider or taller than that
+    # once multiplicity() has certified e(B) with a parameter y, both
+    # socles work in B/yB, of dimension e(B): no row space and no product
+    # is wider or taller than that
     ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
-    ring._reduction()
     q = ring.multiplicity()
     widths, heights = [], []
 
@@ -289,6 +291,79 @@ def test_socles_stay_inside_the_reduction(monkeypatch):
     assert ring.graded_socle_of_reduction() == 2
     assert widths and max(widths) <= q == 5 < ring.width
     assert heights and max(heights) <= q
+
+
+def test_reduction_matches_dense_elimination():
+    # every witness shift of genus <= 6 and the four benchmark rings, at
+    # both primes: l(B/yB) and the free indices are the rank and the
+    # non-pivot columns of the dense y*B, and the actions on B/yB are the
+    # dense residues of the generator matrices
+    cases = list(_witness_rings(6))
+    cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
+    rings = 0
+    for H, shift in cases:
+        for p in (DEFAULT_PRIME, SECOND_PRIME):
+            ring = FiberProductRing(H, shift, prime=p)
+            free = ring._reduction()[1]
+            span = dense_reduction(ring)
+            assert len(free) == ring.width - span.dim
+            dense_free = np.setdiff1d(np.arange(ring.width), span.pivots)
+            assert np.array_equal(free, dense_free), (H, shift, p)
+            want = [span.reduce_matrix(m[free])[:, free] for m in gen_matrices(ring)]
+            got = ring._quotient_actions(0)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (H, shift)
+            rings += 1
+    assert rings == 2 * len(cases) == 2 * (40 + 4)
+
+
+def test_rows_of_yb_with_one_leading_index_raise(monkeypatch):
+    # b_1 times anything returns the product with b_0, so the rows y*b_0
+    # and y*b_1 of yB coincide
+    basis_product = FiberProductRing.basis_product
+
+    def doubled(self, i, j):
+        return basis_product(self, i, 0 if j == 1 else j)
+
+    monkeypatch.setattr(FiberProductRing, "basis_product", doubled)
+    ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
+    with pytest.raises(CrossCheckError, match="lead at one index"):
+        ring.multiplicity()
+
+
+@pytest.mark.parametrize("where", ["leading", "free"])
+def test_corrupted_projection_raises(monkeypatch, where):
+    projection = FiberProductRing._projection
+
+    def corrupted(self, index, coeff, free):
+        proj = projection(self, index, coeff, free)
+        row = index[0, 0] if where == "leading" else free[-1]
+        proj[row, 0] = (proj[row, 0] + 1) % self.prime
+        return proj
+
+    monkeypatch.setattr(FiberProductRing, "_projection", corrupted)
+    ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
+    with pytest.raises(CrossCheckError, match="projection onto B/yB"):
+        ring.multiplicity()
+
+
+def test_prime_free_tables_are_built_once_per_precision(monkeypatch):
+    # the tables of the two rings at the requested precision and the two
+    # at the larger one: one set per precision, shared across the primes
+    calls = []
+    basis_product = FiberProductRing.basis_product
+
+    def counting(self, i, j):
+        calls.append(self.precision)
+        return basis_product(self, i, j)
+
+    H = NumericalSemigroup([4, 5, 11])
+    rings = [FiberProductRing(H, 11, precision=n) for n in (88, 110)]
+    monkeypatch.setattr(FiberProductRing, "basis_product", counting)
+    cert = verify_approximation(H, 11)
+    assert cert.precisions_checked == (88, 110)
+    for ring in rings:
+        want = ring.width * len(ring.generator_indices)
+        assert calls.count(ring.precision) == want
 
 
 def test_rejects_gorenstein_base():
@@ -374,6 +449,25 @@ def test_verify_approximation_wider_rings(gens, shift, hilbert):
 def test_power_spaces_shrink(ring345):
     dims = [ring345.width - ring345.hilbert_function(k) for k in range(6)]
     assert dims == sorted(dims, reverse=True)
+
+
+def test_every_genus_13_witness_reaches_the_multiplicity():
+    # at the default precision, the Hilbert differences reach l(B/yB) =
+    # e + 1 at the reported shift of every Teter semigroup of genus <= 13;
+    # the budget holds with headroom on a slow 2-core machine
+    start = time.perf_counter()
+    rings = 0
+    for _, gens in enumerate_semigroups(13):
+        H = NumericalSemigroup(gens)
+        report = teter_check(H)
+        if report.witness is None:
+            continue
+        ring = FiberProductRing(H, report.witness.shift)
+        assert ring.multiplicity() == H.multiplicity + 1, gens
+        rings += 1
+    elapsed = time.perf_counter() - start
+    assert rings == 426
+    assert elapsed < 30.0, "multiplicity sweep took %.1fs" % elapsed
 
 
 def test_every_small_genus_witness_verifies():
