@@ -20,7 +20,6 @@ from .errors import (
     NonStabilizedError,
     NotAMemberError,
     NoWitnessError,
-    ParameterNotRegularError,
     PrecisionTooSmallError,
     TangentConeNotCMError,
     TeterError,
@@ -53,7 +52,6 @@ __all__ = [
     "NotAMemberError",
     "NoWitnessError",
     "NumericalSemigroup",
-    "ParameterNotRegularError",
     "PrecisionTooSmallError",
     "QuotientData",
     "RelativeIdeal",

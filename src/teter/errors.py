@@ -52,12 +52,8 @@ class PrecisionTooSmallError(TeterError, ValueError):
 
 class NonStabilizedError(TeterError):
     """No Hilbert function difference within the modeled window reached
-    l(B/yB) for any parameter candidate y, so e(B) is not certified;
+    l(B/yB) for the superficial parameter y, so e(B) is not certified;
     raise the precision."""
-
-
-class ParameterNotRegularError(TeterError):
-    """No admissible reduction parameter was found after bounded retries."""
 
 
 class CrossCheckError(TeterError):

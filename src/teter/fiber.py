@@ -23,19 +23,20 @@ with at most one t-index and one u-index, both coefficients 1.  Their
 rank is a union-find count on a bipartite graph, the same over every
 field, so the product tables and the power bases are built once per
 precision and shared by the primes; one dense elimination per ring
-cross-checks a rank.  The rows of yB, for the superficial parameter y,
-lead at distinct basis indices, so B/yB needs no elimination either:
-the other indices are its basis, and a sweep over the rows projects
-every basis element onto them.  The multiplicity e(B) is certified by
-the first Hilbert difference equal to l(B/yB), and the socle and the
-graded socle are computed in B/yB, of dimension e(B).  Everything
-modulo p runs at two primes and two precisions; the sweep either
-agrees with itself (and with the semigroup-side multiplicity) or
-raises.
+cross-checks a rank.  The superficial parameter y has the value (e, 1),
+the least on each branch of the normalization k[[t]] x k[[u]], so yB is
+a reduction of the maximal ideal.  y is a sum of basis elements, and
+the rows of yB are 0/1 and lead at distinct basis indices, again over
+every field, so B/yB needs no elimination either: the other indices
+are its basis, and a sweep over the rows projects every basis element
+onto them.  The multiplicity e(B) is certified by the first Hilbert
+difference equal to l(B/yB), and the socle and the graded socle are
+computed in B/yB, of dimension e(B).  Everything modulo p runs at two
+primes and two precisions; the sweep either agrees with itself (and
+with the semigroup-side multiplicity) or raises.
 """
 
 import copy
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,6 @@ from .errors import (
     GorensteinInputError,
     NonStabilizedError,
     NoWitnessError,
-    ParameterNotRegularError,
     PrecisionTooSmallError,
 )
 from .ideals import canonical_ideal, quotient_data
@@ -148,8 +148,7 @@ class FiberProductRing:
 
         self._product_tables = {}
         self._powers = []
-        self._reductions = {}
-        self._actions = {}
+        self._rows = self._reduced = self._actions = None
         self._multiplicity = self._stop_degree = None
 
     # -- basis combinatorics ------------------------------------------------
@@ -232,13 +231,13 @@ class FiberProductRing:
         return t_part + (self._u_index[self.cyclic_length],)
 
     def _over(self, prime):
-        # the same model over F_prime.  The product tables and the power
-        # bases are the same over every field, so the copy shares them;
-        # everything read modulo the prime starts afresh.
+        # the same model over F_prime.  The product tables, the power
+        # bases and the rows of yB are the same over every field, so the
+        # copy shares them; everything read modulo the prime starts afresh.
         check_modulus(prime)
         ring = copy.copy(self)
         ring.prime = prime
-        ring._reductions, ring._actions = {}, {}
+        ring._reduced = ring._actions = None
         ring._multiplicity = ring._stop_degree = None
         return ring
 
@@ -333,155 +332,117 @@ class FiberProductRing:
         with equality exactly when m^(k+1) = y m^k.  That holds for every
         k from the reduction number on, where h(k) = e(B).  So the first
         difference equal to l(B/yB) certifies e(B) = l(B/yB), and every
-        later difference equals it.  The parameter candidates are tried
-        in turn, each against the differences through the cap (at most
-        ``max_k``); this raises when no candidate's l(B/yB) is reached.
+        later difference equals it.  The differences are read through the
+        cap (at most ``max_k``); this raises when none reaches l(B/yB).
         """
         if max_k is None and self._multiplicity is not None:
             return self._multiplicity
         cap = self.precision // max(self.semigroup.generators) - 1
         if max_k is not None:
             cap = min(cap, max_k)
-        profile = []
-        for vec in self._parameter_candidates(0):
-            reduction = self._reduce_by(vec)
-            q = len(reduction[1])
-            for k in range(cap + 1):
-                if k == len(profile):
-                    profile.append(self.hilbert_function(k))
-                if profile[k] - (profile[k - 1] if k else 0) == q:
-                    self._check_power_rank(k + 1)
-                    if max_k is None:
-                        self._multiplicity, self._stop_degree = q, k
-                        self._reductions[0] = reduction
-                    return q
-        diffs = [b - a for a, b in zip([0] + profile, profile)]
+        q = len(self._reduction()[0])
+        diffs = []
+        for k in range(cap + 1):
+            diffs.append(self.hilbert_function(k) - sum(diffs))
+            if diffs[-1] == q:
+                self._check_power_rank(k + 1)
+                if max_k is None:
+                    self._multiplicity, self._stop_degree = q, k
+                return q
         raise NonStabilizedError(
-            "Hilbert differences %r reach l(B/yB) for no parameter candidate; "
-            "raise the precision" % (diffs,)
+            "Hilbert differences %r never reach l(B/yB) = %d; raise the precision"
+            % (diffs, q)
         )
 
     # -- reduction by a superficial parameter --------------------------------
 
-    def _parameter_candidates(self, seed):
-        # the parameter must be a nonzerodivisor with u-order exactly 1;
-        # b_e supplies t-order e, and the u-order-1 piece is b_e itself
-        # when e is matched, b_g otherwise, z_1 when the quotient is k
-        base = np.zeros(self.width, dtype=np.int64)
-        base[self._t_index[self.semigroup.multiplicity]] = 1
+    def _parameter(self):
+        # basis indices of the superficial parameter y, every coefficient
+        # 1.  y has t-order e and u-order 1: b_e, plus z_1 when the
+        # quotient is k, or plus b_g when e is unmatched (b_e itself is
+        # (t^e, u) when e = g).  Its value (e, 1) is the least on each
+        # branch of the normalization, so yB is a reduction of m.
+        terms = [self._t_index[self.semigroup.multiplicity]]
         if self.cyclic_length == 1:
-            base[self._u_index[1]] = 1
+            terms.append(self._u_index[1])
         elif self.semigroup.multiplicity not in self._matched:
-            base[self._t_index[self.cyclic_generator]] = 1
-        yield base
-        rng = random.Random(seed)
-        tail = self._u_index[self.cyclic_length]
-        ladder = [1, 2, 3] + [rng.randrange(1, self.prime) for _ in range(6)]
-        for lam in ladder:
-            vec = base.copy()
-            vec[tail] = (vec[tail] + lam) % self.prime
-            yield vec
+            terms.append(self._t_index[self.cyclic_generator])
+        return terms
 
-    def _reduce_by(self, vec):
-        # B/yB without elimination.  y has two or three terms, so the rows
-        # y*b_j of yB are read off their product tables.  The nonzero rows
-        # must lead (least index) at distinct indices: then they are
-        # independent, and the other indices, the free ones, number
-        # l(B/yB).  Row r of yB is the sum of coeff[r, l] b_(index[r, l]),
-        # leading at index[r, 0]; the padding is index width, coefficient 0.
-        p, w = self.prime, self.width
-        terms = np.nonzero(vec)[0]
-        index = np.hstack([self._product_table(int(i))[:-1] for i in terms])
-        coeff = np.broadcast_to(np.repeat(vec[terms], 2), index.shape)
-        hit = index >= 0
-        # like terms summed mod p (the float sums are far below 2^53); the
-        # codes sort by row, then by index, so a row's first entry leads
-        codes, where = np.unique(
-            np.nonzero(hit)[0] * w + index[hit], return_inverse=True
-        )
-        total = np.bincount(where, coeff[hit]).astype(np.int64) % p
-        row, col = np.divmod(codes[total > 0], w)
-        total = total[total > 0]
-        first = np.r_[True, row[1:] != row[:-1]]
-        lead = col[first]
-        if len(np.unique(lead)) < len(lead):
-            raise CrossCheckError("two rows of yB lead at one index mod %d" % p)
-        owner = np.cumsum(first) - 1
-        place = np.arange(len(col)) - np.flatnonzero(first)[owner]
-        index = np.full((len(lead), place.max(initial=0) + 1), w, dtype=np.int64)
-        coeff = np.zeros(index.shape, dtype=np.int64)
-        index[owner, place], coeff[owner, place] = col, total
-        free = np.setdiff1d(np.arange(w), lead)
+    def _rows_of_yb(self):
+        # the rows y*b_j of yB, as sorted basis indices padded with width:
+        # each is the union of the product-table rows of y's terms, every
+        # coefficient 1.  The nonzero rows must lead (least index) at
+        # distinct indices: then they are independent over every field,
+        # and the other indices, the free ones, number l(B/yB).
+        if self._rows is None:
+            w = self.width
+            index = np.hstack([self._product_table(i)[:-1] for i in self._parameter()])
+            index = np.sort(np.where(index < 0, w, index), axis=1)
+            if ((index[:, 1:] == index[:, :-1]) & (index[:, 1:] < w)).any():
+                raise CrossCheckError("a row of yB repeats an index")
+            index = index[index[:, 0] < w]
+            lead = index[:, 0]
+            if len(np.unique(lead)) < len(lead):
+                raise CrossCheckError("two rows of yB lead at one index")
+            self._rows = index, np.setdiff1d(np.arange(w), lead)
+        return self._rows
 
-        proj = self._projection(index, coeff, free)
-        # proj is onto (the identity on the free indices) and kills yB, so
-        # rank(yB) <= width - q; the distinct leading indices give >=
-        if not np.array_equal(proj[free], np.eye(len(free), dtype=np.int64)):
-            raise CrossCheckError("the projection onto B/yB moves a free index")
-        if ((proj[index] * coeff[:, :, None]).sum(axis=1) % p).any():
-            raise CrossCheckError("the projection onto B/yB misses a row of yB")
-        return vec, free, proj
+    def _reduction(self):
+        # B/yB over F_p: the free indices and the projection onto them
+        if self._reduced is None:
+            index, free = self._rows_of_yb()
+            proj = self._projection(index, free)
+            # proj is onto (the identity on the free indices) and kills yB,
+            # so rank(yB) <= width - q; the distinct leading indices give >=
+            if not np.array_equal(proj[free], np.eye(len(free), dtype=np.int64)):
+                raise CrossCheckError("the projection onto B/yB moves a free index")
+            if (proj[index].sum(axis=1) % self.prime).any():
+                raise CrossCheckError("the projection onto B/yB misses a row of yB")
+            self._reduced = free, proj
+        return self._reduced
 
-    def _projection(self, index, coeff, free):
+    def _projection(self, index, free):
         # row j: the image of b_j in B/yB, in the basis of the free
         # indices; the last row, for the padding index, is zero.  Each row
-        # of yB writes its leading index as a combination of larger ones,
+        # of yB writes its leading index as minus the sum of its others,
         # so a sweep over all rows at once finishes every index whose
         # row's other indices were finished; sweeps stop at the fixed
         # point, one more than the longest chain of leading indices.
-        p = self.prime
         proj = np.zeros((self.width + 1, len(free)), dtype=np.int64)
         proj[free, np.arange(len(free))] = 1
-        lead, rest, weight = index[:, 0], index[:, 1:], coeff[:, 1:, None]
-        scale = np.array(
-            [p - pow(a, -1, p) for a in coeff[:, 0].tolist()], dtype=np.int64
-        )[:, None]
+        lead, rest = index[:, 0], index[:, 1:]
         while True:
-            new = scale * ((weight * proj[rest]).sum(axis=1) % p) % p
+            new = -proj[rest].sum(axis=1) % self.prime
             if np.array_equal(new, proj[lead]):
                 return proj
             proj[lead] = new
 
-    def _reduction(self, seed=0):
-        # the first candidate of this seed with l(B/yB) = e(B): a minimal
-        # reduction; multiplicity() has found the one of seed 0
-        target = self.multiplicity()
-        if seed not in self._reductions:
-            for vec in self._parameter_candidates(seed):
-                reduction = self._reduce_by(vec)
-                if len(reduction[1]) == target:
-                    self._reductions[seed] = reduction
-                    break
-            else:
-                raise ParameterNotRegularError(
-                    "no superficial parameter found modulo %d" % self.prime
-                )
-        return self._reductions[seed]
-
-    def _quotient_actions(self, seed):
-        # the free indices are a basis of B/yB, e(B) of them; generator g
-        # acts on it by the e(B) x e(B) matrix of the images of its
-        # products with those basis elements
-        if seed not in self._actions:
-            _, free, proj = self._reduction(seed)
-            self._actions[seed] = [
+    def _quotient_actions(self):
+        # the free indices are a basis of B/yB, e(B) of them once
+        # multiplicity() has certified it; generator g acts on it by the
+        # e(B) x e(B) matrix of the images of its products with them
+        if self._actions is None:
+            self.multiplicity()
+            free, proj = self._reduction()
+            self._actions = [
                 (proj[table[free, 0]] + proj[table[free, 1]]) % self.prime
                 for table in map(self._product_table, self.generator_indices)
             ]
-        return self._actions[seed]
+        return self._actions
 
-    def socle_of_reduction(self, seed=0):
+    def socle_of_reduction(self):
         """Dimension of the socle of B/yB, y a superficial parameter.
 
         Computed in B/yB as the common kernel of the generators' actions.
         """
-        actions = self._quotient_actions(seed)
+        actions = self._quotient_actions()
         return len(actions[0]) - rank_of(np.hstack(actions).T, self.prime)
 
-    def is_gorenstein(self, seed=0):
-        return self.socle_of_reduction(seed) == 1
+    def is_gorenstein(self):
+        return self.socle_of_reduction() == 1
 
-    def graded_socle_of_reduction(self, seed=0):
+    def graded_socle_of_reduction(self):
         """Total socle dimension of the associated graded ring of B/yB.
 
         Computed inside B/yB with the powers P_k of its maximal ideal; a
@@ -489,7 +450,7 @@ class FiberProductRing:
         into P_(k+2), so degree k adds dim{x in P_k : xg in P_(k+2) for
         all g} - dim P_(k+1).
         """
-        actions = self._quotient_actions(seed)
+        actions = self._quotient_actions()
         p, q = self.prime, len(actions[0])
         spaces = [RowSpace(p, q)]
         spaces[0].add_matrix(np.eye(q, dtype=np.int64))
@@ -518,6 +479,16 @@ def build_approximation(semigroup, shift, precision=None, prime=DEFAULT_PRIME):
     return FiberProductRing(semigroup, shift, precision=precision, prime=prime)
 
 
+def check_primes(primes):
+    """The moduli of a verification sweep: at least two distinct primes."""
+    primes = tuple(primes)
+    if len(primes) < 2 or len(set(primes)) != len(primes):
+        raise ValueError("need at least two distinct moduli")
+    for p in primes:
+        check_modulus(p)
+    return primes
+
+
 @dataclass(frozen=True)
 class ApproximationCertificate:
     shift: int
@@ -529,7 +500,6 @@ class ApproximationCertificate:
     precision: int
     precisions_checked: tuple
     primes: tuple
-    seed: int
     status: str
 
 
@@ -538,7 +508,6 @@ def verify_approximation(
     shift,
     precision=None,
     primes=(DEFAULT_PRIME, SECOND_PRIME),
-    seed=0,
 ):
     """Run the model over every (precision, prime) pair and compare.
 
@@ -547,12 +516,7 @@ def verify_approximation(
     and the stable multiplicity must exceed the semigroup's by exactly
     one.  Any disagreement raises instead of returning.
     """
-    primes = tuple(primes)
-    if len(primes) < 2 or len(set(primes)) != len(primes):
-        raise ValueError("need at least two distinct moduli")
-    for p in primes:
-        check_modulus(p)
-
+    primes = check_primes(primes)
     step = 2 * max(semigroup.generators)
     # the ring at the floor (nothing computed yet) gives the quotient length,
     # so the sweep's larger precision is refused before anything is computed
@@ -577,8 +541,8 @@ def verify_approximation(
             k0 = min(ring._stop_degree, cap)
             profile = [ring.hilbert_function(k) for k in range(k0 + 1)]
             profile += [profile[k0] + (k - k0) * e_b for k in range(k0 + 1, cap + 1)]
-            soc = ring.socle_of_reduction(seed)
-            graded = ring.graded_socle_of_reduction(seed)
+            soc = ring.socle_of_reduction()
+            graded = ring.graded_socle_of_reduction()
             runs.append((e_b, tuple(profile), soc, graded))
 
     if any(run != runs[0] for run in runs[1:]):
@@ -601,6 +565,5 @@ def verify_approximation(
         precision=n0,
         precisions_checked=(n0, n0 + step),
         primes=primes,
-        seed=seed,
         status="numerically-verified",
     )

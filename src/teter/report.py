@@ -52,7 +52,8 @@ def build_report_document(report, certificate=None, timings_ms=None):
             "precision": certificate.precision,
             "precisions_checked": list(certificate.precisions_checked),
             "primes": list(certificate.primes),
-            "seed": certificate.seed,
+            # schema 1 keeps the field; no computed value depends on a seed
+            "seed": 0,
             "status": certificate.status,
         }
     if timings_ms is not None:

@@ -460,11 +460,27 @@ def gen_matrices(ring):
     return [ring.mult_matrix(unit[g]) for g in ring.generator_indices]
 
 
-def dense_reduction(ring, seed=0):
-    """yB as a row space, y the parameter the ring accepted for the seed."""
-    vec = ring._reduction(seed)[0]
+def superficial_parameter(ring):
+    """Coordinates of y = (t^e + ..., u + ...), the element of value (e, 1).
+
+    b_e, plus z_1 when the quotient is the residue field, or plus b_g
+    when e is not g (b_e = (t^e, u) when e = g).
+    """
+    e, g = ring.semigroup.multiplicity, ring.cyclic_generator
+    nt = len(ring.t_exponents)
+    vec = np.zeros(ring.width, dtype=np.int64)
+    vec[ring.t_exponents.index(e)] = 1
+    if ring.cyclic_length == 1:
+        vec[nt + ring.u_exponents.index(1)] = 1
+    elif e != g:
+        vec[ring.t_exponents.index(g)] = 1
+    return vec
+
+
+def dense_reduction(ring):
+    """yB as a row space, y the superficial parameter of value (e, 1)."""
     span = RowSpace(ring.prime, ring.width)
-    span.add_matrix(ring.mult_matrix(vec))
+    span.add_matrix(ring.mult_matrix(superficial_parameter(ring)))
     return span
 
 
@@ -501,25 +517,25 @@ def dense_power_space(ring, previous=None):
     return space
 
 
-def width_socle(ring, seed=0):
+def width_socle(ring):
     """Socle of B/yB, computed in all width coordinates of B.
 
     The x in B with xg in yB for every generator g, less yB itself.
     """
-    span = dense_reduction(ring, seed)
+    span = dense_reduction(ring)
     blocks = [span.reduce_matrix(m) for m in gen_matrices(ring)]
     killed = ring.width - rank_of(np.hstack(blocks), ring.prime)
     return killed - span.dim
 
 
-def width_graded_socle(ring, seed=0):
+def width_graded_socle(ring):
     """Graded socle of B/yB, computed in all width coordinates of B.
 
     Works with the filtration T_k = (k-th power of the maximal ideal)
     + yB inside B itself; a degree-k class is socle exactly when every
     generator pushes it into T_(k+2).
     """
-    span = dense_reduction(ring, seed)
+    span = dense_reduction(ring)
     gens = gen_matrices(ring)
     p, w = ring.prime, ring.width
     spaces = [None]

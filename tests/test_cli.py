@@ -113,6 +113,9 @@ def test_byte_identical_reruns(capsys):
         ("analyze", "2,20000001"),
         ("analyze", "3,4,5", "--approximate", "--precision", "100000"),
         ("analyze", "3,4,5", "--approximate", "--precision", "1000000000000"),
+        # the moduli are refused even where no approximation would run
+        ("analyze", "3,4", "--approximate", "--primes", "70000,3"),
+        ("analyze", "5,6,7,9", "--approximate", "--primes", "4,6"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -122,20 +125,21 @@ def test_bad_input_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ("analyze", "3,4,5"),
-        ("batch", "/no/such/file"),
+        (("analyze", "3,4,5"), ("--window-multiplier", "2")),
+        (("batch", "/no/such/file"), ("--window-multiplier", "2")),
+        (("analyze", "3,4,5"), ("--seed", "3")),
     ],
-    ids=["analyze", "batch"],
+    ids=["analyze", "batch", "seed"],
 )
-def test_window_multiplier_is_refused(capsys, argv):
-    # no witness-shift window is left to widen: argparse refuses the flag
-    # before any input is read
+def test_window_multiplier_is_refused(capsys, argv, flag):
+    # no witness-shift window is left to widen and no parameter is drawn
+    # from a seed: argparse refuses the flag before any input is read
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--window-multiplier", "2"])
+        main([*argv, *flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --window-multiplier 2" in capsys.readouterr().err
+    assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
 
 
 def test_cross_check_failure_exits_3(capsys, monkeypatch):
@@ -201,6 +205,17 @@ def test_batch(capsys, tmp_path):
     code, lenient_out, _ = run(capsys, "batch", str(source), "--no-timings", "--lenient")
     assert code == 0
     assert lenient_out == out
+
+
+def test_batch_refuses_bad_primes_before_reading(capsys, tmp_path):
+    source = tmp_path / "inputs.txt"
+    source.write_text("3,4,5\n4,5,11\n")
+    code, out, err = run(
+        capsys, "batch", str(source), "--approximate", "--primes", "4,6"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: modulus 4 is not prime" in err
 
 
 def test_batch_empty_file(capsys, tmp_path):

@@ -140,7 +140,7 @@ def test_multiplicity_takes_the_largest_difference():
 def test_multiplicity_budget_too_small():
     ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
     # differences 1,3 never reach l(B/yB) = 4
-    with pytest.raises(NonStabilizedError, match="no parameter candidate"):
+    with pytest.raises(NonStabilizedError, match=r"never reach l\(B/yB\) = 4"):
         ring.multiplicity(max_k=1)
     # differences 1,3,4: one difference equal to l(B/yB) certifies e(B)
     assert ring.multiplicity(max_k=3) == 4
@@ -295,25 +295,26 @@ def test_socles_stay_inside_the_reduction(monkeypatch):
 
 def test_reduction_matches_dense_elimination():
     # every witness shift of genus <= 6 and the four benchmark rings, at
-    # both primes: l(B/yB) and the free indices are the rank and the
-    # non-pivot columns of the dense y*B, and the actions on B/yB are the
+    # the smallest primes and the default ones: l(B/yB) and the free
+    # indices are the rank and the non-pivot columns of the dense y*B, for
+    # the y the oracle builds itself, and the actions on B/yB are the
     # dense residues of the generator matrices
     cases = list(_witness_rings(6))
     cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
     rings = 0
     for H, shift in cases:
-        for p in (DEFAULT_PRIME, SECOND_PRIME):
+        for p in (2, 3, DEFAULT_PRIME, SECOND_PRIME):
             ring = FiberProductRing(H, shift, prime=p)
-            free = ring._reduction()[1]
+            free = ring._reduction()[0]
             span = dense_reduction(ring)
             assert len(free) == ring.width - span.dim
             dense_free = np.setdiff1d(np.arange(ring.width), span.pivots)
             assert np.array_equal(free, dense_free), (H, shift, p)
             want = [span.reduce_matrix(m[free])[:, free] for m in gen_matrices(ring)]
-            got = ring._quotient_actions(0)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (H, shift)
+            got = ring._quotient_actions()
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (H, shift, p)
             rings += 1
-    assert rings == 2 * len(cases) == 2 * (40 + 4)
+    assert rings == 4 * len(cases) == 4 * (40 + 4)
 
 
 def test_rows_of_yb_with_one_leading_index_raise(monkeypatch):
@@ -330,12 +331,30 @@ def test_rows_of_yb_with_one_leading_index_raise(monkeypatch):
         ring.multiplicity()
 
 
+def test_rows_of_yb_with_a_repeated_index_raise(monkeypatch):
+    # y = b_4 + b_11 on <4,5,11> at shift 11; b_11 times anything returns
+    # the product with b_4, so every row of yB holds its indices twice
+    basis_product = FiberProductRing.basis_product
+    H = NumericalSemigroup([4, 5, 11])
+    ring = FiberProductRing(H, 11)
+    assert [ring.t_exponents[i] for i in ring._parameter()] == [4, 11]
+    b4, b11 = ring._parameter()
+
+    def doubled(self, i, j):
+        return basis_product(self, b4 if i == b11 else i, j)
+
+    monkeypatch.setattr(FiberProductRing, "basis_product", doubled)
+    ring = FiberProductRing(H, 11)
+    with pytest.raises(CrossCheckError, match="a row of yB repeats an index"):
+        ring.multiplicity()
+
+
 @pytest.mark.parametrize("where", ["leading", "free"])
 def test_corrupted_projection_raises(monkeypatch, where):
     projection = FiberProductRing._projection
 
-    def corrupted(self, index, coeff, free):
-        proj = projection(self, index, coeff, free)
+    def corrupted(self, index, free):
+        proj = projection(self, index, free)
         row = index[0, 0] if where == "leading" else free[-1]
         proj[row, 0] = (proj[row, 0] + 1) % self.prime
         return proj
@@ -464,6 +483,11 @@ def test_every_genus_13_witness_reaches_the_multiplicity():
             continue
         ring = FiberProductRing(H, report.witness.shift)
         assert ring.multiplicity() == H.multiplicity + 1, gens
+        # y has the value (e, 1): its least exponents on the two branches
+        pairs = [basis_pair(ring, i) for i in ring._parameter()]
+        t_side = np.flatnonzero(sum(t.coeffs for t, _ in pairs) % ring.prime)
+        u_side = np.flatnonzero(sum(u.coeffs for _, u in pairs) % ring.prime)
+        assert (t_side[0], u_side[0]) == (H.multiplicity, 1), gens
         rings += 1
     elapsed = time.perf_counter() - start
     assert rings == 426
