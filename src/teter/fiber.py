@@ -21,22 +21,24 @@ The lengths are combinatorial too.  Every power of the maximal ideal
 is spanned by bimonomials (t^a or 0, u^j or 0): in the basis, vectors
 with at most one t-index and one u-index, both coefficients 1.  Their
 rank is a union-find count on a bipartite graph, the same over every
-field, so the product tables and the power bases are built once per
-precision and shared by the primes; one dense elimination per ring
-cross-checks a rank.  The superficial parameter y has the value (e, 1),
-the least on each branch of the normalization k[[t]] x k[[u]], so yB is
-a reduction of the maximal ideal.  y is a sum of basis elements, and
-the rows of yB are 0/1 and lead at distinct basis indices, again over
-every field, so B/yB needs no elimination either: the other indices
-are its basis, and a sweep over the rows projects every basis element
-onto them.  The multiplicity e(B) is certified by the first Hilbert
-difference equal to l(B/yB), and the socle and the graded socle are
-computed in B/yB, of dimension e(B).  Everything modulo p runs at two
-primes and two precisions; the sweep either agrees with itself (and
-with the semigroup-side multiplicity) or raises.
+field.  The superficial parameter y has the value (e, 1), the least on
+each branch of the normalization k[[t]] x k[[u]], so yB is a reduction
+of the maximal ideal.  y is a sum of basis elements, and the rows of yB
+are 0/1 and lead at distinct basis indices, again over every field, so
+B/yB needs no elimination either: the other indices are its basis, and
+l(B/yB) is their count.  The multiplicity e(B) is certified by the
+first Hilbert difference equal to l(B/yB).
+
+So one FiberProductRing is the model of B at one precision, over every
+field.  Only the steps that read B/yB modulo a prime take the prime as
+an argument: a sweep over the rows of yB projects every basis element
+onto the free indices, the socle and the graded socle are computed in
+B/yB, of dimension e(B), and one dense elimination cross-checks the
+rank of a power.  verify_approximation runs them at two primes and two
+precisions; the sweep either agrees with itself (and with the
+semigroup-side multiplicity) or raises.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,20 +91,20 @@ def _check_width(semigroup, cyclic_length, floor, precision, sweep=0):
 
 
 class FiberProductRing:
-    """The ring B truncated at a fixed precision, over F_p.
+    """The ring B truncated at a fixed precision, over every field.
 
     Vectors of length ``width`` are coordinates in the basis
     b_(h_0), b_(h_1), ... (members of H up to N, ascending) followed by
     z_c, z_(c+1), ..., z_N.  Multiplication by a fixed element is a
-    width x width matrix acting on row vectors.
+    width x width matrix acting on row vectors.  The methods that read
+    B/yB modulo a prime take it as ``prime``.
     """
 
-    def __init__(self, semigroup, shift, precision=None, prime=DEFAULT_PRIME):
+    def __init__(self, semigroup, shift, precision=None):
         if semigroup.is_gorenstein:
             raise GorensteinInputError(
                 "the construction needs a non-Gorenstein base ring"
             )
-        check_modulus(prime)
         ideal = canonical_ideal(semigroup).shift(shift)
         if not ideal.is_proper_ideal():
             raise NoWitnessError(
@@ -129,8 +131,6 @@ class FiberProductRing:
 
         self.semigroup = semigroup
         self.shift = shift
-        self.ideal = ideal
-        self.prime = prime
         self.precision = precision
         self.cyclic_generator = data.cyclic_generator
         self.cyclic_length = data.cyclic_length
@@ -148,7 +148,8 @@ class FiberProductRing:
 
         self._product_tables = {}
         self._powers = []
-        self._rows = self._reduced = self._actions = None
+        self._rows = None
+        self._actions = {}
         self._multiplicity = self._stop_degree = None
 
     # -- basis combinatorics ------------------------------------------------
@@ -218,28 +219,20 @@ class FiberProductRing:
         return np.ascontiguousarray(mat[:, :-1])
 
     def mult_matrix(self, vec):
-        """Multiplication by the element with coordinate row vec."""
+        """Multiplication by the element with integer coordinate row vec.
+
+        The integer matrix, unreduced: reduce it modulo p to act over F_p.
+        """
         out = np.zeros((self.width, self.width), dtype=np.int64)
         for i in np.nonzero(np.asarray(vec))[0]:
             out += int(vec[i]) * self._dense(self._product_table(int(i))[:-1])
-        return out % self.prime
+        return out
 
     @property
     def generator_indices(self):
         """Basis indices generating the maximal ideal."""
         t_part = tuple(self._t_index[n] for n in self.semigroup.generators)
         return t_part + (self._u_index[self.cyclic_length],)
-
-    def _over(self, prime):
-        # the same model over F_prime.  The product tables, the power
-        # bases and the rows of yB are the same over every field, so the
-        # copy shares them; everything read modulo the prime starts afresh.
-        check_modulus(prime)
-        ring = copy.copy(self)
-        ring.prime = prime
-        ring._reduced = ring._actions = None
-        ring._multiplicity = ring._stop_degree = None
-        return ring
 
     # -- lengths ------------------------------------------------------------
 
@@ -294,18 +287,18 @@ class FiberProductRing:
             self._powers.append(np.array(basis, dtype=np.int64).reshape(-1, 2))
         return self._powers[k - 1]
 
-    def _check_power_rank(self, k):
-        # one dense elimination over F_p of the k-th power's spanning
+    def _check_power_rank(self, k, prime):
+        # one dense elimination over F_prime of the k-th power's spanning
         # products must agree with the union-find rank
         mat = self._dense(self._spanning_products(k))
         # rank_of eliminates row by row: take the shorter side
         if len(mat) > self.width:
             mat = mat.T
-        dense, combinatorial = rank_of(mat, self.prime), len(self._power_basis(k))
+        dense, combinatorial = rank_of(mat, prime), len(self._power_basis(k))
         if dense != combinatorial:
             raise CrossCheckError(
                 "power %d has rank %d over F_%d but %d by union-find"
-                % (k, dense, self.prime, combinatorial)
+                % (k, dense, prime, combinatorial)
             )
 
     def hilbert_function(self, k):
@@ -324,7 +317,7 @@ class FiberProductRing:
             )
         return self.width - len(self._power_basis(k + 1))
 
-    def multiplicity(self, max_k=None):
+    def multiplicity(self):
         """e(B), certified by one Hilbert difference equal to l(B/yB).
 
         B is Cohen-Macaulay of dimension one, so for a parameter y every
@@ -332,22 +325,19 @@ class FiberProductRing:
         with equality exactly when m^(k+1) = y m^k.  That holds for every
         k from the reduction number on, where h(k) = e(B).  So the first
         difference equal to l(B/yB) certifies e(B) = l(B/yB), and every
-        later difference equals it.  The differences are read through the
-        cap (at most ``max_k``); this raises when none reaches l(B/yB).
+        later difference equals it.  l(B/yB) is the number of free indices
+        of yB, over every field; the differences are read up to the degree
+        the precision certifies, and this raises when none reaches it.
         """
-        if max_k is None and self._multiplicity is not None:
+        if self._multiplicity is not None:
             return self._multiplicity
         cap = self.precision // max(self.semigroup.generators) - 1
-        if max_k is not None:
-            cap = min(cap, max_k)
-        q = len(self._reduction()[0])
+        q = len(self._rows_of_yb()[1])
         diffs = []
         for k in range(cap + 1):
             diffs.append(self.hilbert_function(k) - sum(diffs))
             if diffs[-1] == q:
-                self._check_power_rank(k + 1)
-                if max_k is None:
-                    self._multiplicity, self._stop_degree = q, k
+                self._multiplicity, self._stop_degree = q, k
                 return q
         raise NonStabilizedError(
             "Hilbert differences %r never reach l(B/yB) = %d; raise the precision"
@@ -388,21 +378,19 @@ class FiberProductRing:
             self._rows = index, np.setdiff1d(np.arange(w), lead)
         return self._rows
 
-    def _reduction(self):
-        # B/yB over F_p: the free indices and the projection onto them
-        if self._reduced is None:
-            index, free = self._rows_of_yb()
-            proj = self._projection(index, free)
-            # proj is onto (the identity on the free indices) and kills yB,
-            # so rank(yB) <= width - q; the distinct leading indices give >=
-            if not np.array_equal(proj[free], np.eye(len(free), dtype=np.int64)):
-                raise CrossCheckError("the projection onto B/yB moves a free index")
-            if (proj[index].sum(axis=1) % self.prime).any():
-                raise CrossCheckError("the projection onto B/yB misses a row of yB")
-            self._reduced = free, proj
-        return self._reduced
+    def _reduction(self, prime):
+        # B/yB over F_prime: the free indices and the projection onto them
+        index, free = self._rows_of_yb()
+        proj = self._projection(index, free, prime)
+        # proj is onto (the identity on the free indices) and kills yB,
+        # so rank(yB) <= width - q; the distinct leading indices give >=
+        if not np.array_equal(proj[free], np.eye(len(free), dtype=np.int64)):
+            raise CrossCheckError("the projection onto B/yB moves a free index")
+        if (proj[index].sum(axis=1) % prime).any():
+            raise CrossCheckError("the projection onto B/yB misses a row of yB")
+        return free, proj
 
-    def _projection(self, index, free):
+    def _projection(self, index, free, prime):
         # row j: the image of b_j in B/yB, in the basis of the free
         # indices; the last row, for the padding index, is zero.  Each row
         # of yB writes its leading index as minus the sum of its others,
@@ -413,45 +401,50 @@ class FiberProductRing:
         proj[free, np.arange(len(free))] = 1
         lead, rest = index[:, 0], index[:, 1:]
         while True:
-            new = -proj[rest].sum(axis=1) % self.prime
+            new = -proj[rest].sum(axis=1) % prime
             if np.array_equal(new, proj[lead]):
                 return proj
             proj[lead] = new
 
-    def _quotient_actions(self):
+    def _quotient_actions(self, prime):
         # the free indices are a basis of B/yB, e(B) of them once
-        # multiplicity() has certified it; generator g acts on it by the
-        # e(B) x e(B) matrix of the images of its products with them
-        if self._actions is None:
+        # multiplicity() has certified it; generator g acts on it over
+        # F_prime by the e(B) x e(B) matrix of the images of its products
+        # with them
+        actions = self._actions.get(prime)
+        if actions is None:
+            check_modulus(prime)
             self.multiplicity()
-            free, proj = self._reduction()
-            self._actions = [
-                (proj[table[free, 0]] + proj[table[free, 1]]) % self.prime
+            free, proj = self._reduction(prime)
+            actions = self._actions[prime] = [
+                (proj[table[free, 0]] + proj[table[free, 1]]) % prime
                 for table in map(self._product_table, self.generator_indices)
             ]
-        return self._actions
+        return actions
 
-    def socle_of_reduction(self):
-        """Dimension of the socle of B/yB, y a superficial parameter.
+    def socle_of_reduction(self, prime=DEFAULT_PRIME):
+        """Dimension of the socle of B/yB over F_prime.
 
-        Computed in B/yB as the common kernel of the generators' actions.
+        y is the superficial parameter; the socle is computed in B/yB as
+        the common kernel of the generators' actions.
         """
-        actions = self._quotient_actions()
-        return len(actions[0]) - rank_of(np.hstack(actions).T, self.prime)
+        actions = self._quotient_actions(prime)
+        return len(actions[0]) - rank_of(np.hstack(actions).T, prime)
 
-    def is_gorenstein(self):
-        return self.socle_of_reduction() == 1
+    def is_gorenstein(self, prime=DEFAULT_PRIME):
+        """Whether B/yB over F_prime has a one-dimensional socle."""
+        return self.socle_of_reduction(prime) == 1
 
-    def graded_socle_of_reduction(self):
+    def graded_socle_of_reduction(self, prime=DEFAULT_PRIME):
         """Total socle dimension of the associated graded ring of B/yB.
 
-        Computed inside B/yB with the powers P_k of its maximal ideal; a
-        degree-k class is socle exactly when every generator pushes it
-        into P_(k+2), so degree k adds dim{x in P_k : xg in P_(k+2) for
-        all g} - dim P_(k+1).
+        Over F_prime, computed inside B/yB with the powers P_k of its
+        maximal ideal; a degree-k class is socle exactly when every
+        generator pushes it into P_(k+2), so degree k adds
+        dim{x in P_k : xg in P_(k+2) for all g} - dim P_(k+1).
         """
-        actions = self._quotient_actions()
-        p, q = self.prime, len(actions[0])
+        actions = self._quotient_actions(prime)
+        p, q = prime, len(actions[0])
         spaces = [RowSpace(p, q)]
         spaces[0].add_matrix(np.eye(q, dtype=np.int64))
         # products[k] holds the rows of P_k times each generator
@@ -474,9 +467,9 @@ class FiberProductRing:
         return total
 
 
-def build_approximation(semigroup, shift, precision=None, prime=DEFAULT_PRIME):
+def build_approximation(semigroup, shift, precision=None):
     """Validated constructor; see FiberProductRing."""
-    return FiberProductRing(semigroup, shift, precision=precision, prime=prime)
+    return FiberProductRing(semigroup, shift, precision=precision)
 
 
 def check_primes(primes):
@@ -509,40 +502,39 @@ def verify_approximation(
     precision=None,
     primes=(DEFAULT_PRIME, SECOND_PRIME),
 ):
-    """Run the model over every (precision, prime) pair and compare.
+    """Run the model at two precisions and every prime, and compare.
 
-    Two precisions (the requested one and a strictly larger one) and at
-    least two distinct primes; all runs must report identical lengths,
-    and the stable multiplicity must exceed the semigroup's by exactly
-    one.  Any disagreement raises instead of returning.
+    Two precisions (the requested one and a strictly larger one), one
+    model of B each, read at least two distinct primes; all runs must
+    report identical lengths, and the stable multiplicity must exceed
+    the semigroup's by exactly one.  Any disagreement raises instead of
+    returning.
     """
     primes = check_primes(primes)
     step = 2 * max(semigroup.generators)
     # the ring at the floor (nothing computed yet) gives the quotient length,
     # so the sweep's larger precision is refused before anything is computed
-    base = FiberProductRing(semigroup, shift, prime=primes[0])
+    base = FiberProductRing(semigroup, shift)
     n0 = base.precision if precision is None else precision
     _check_width(semigroup, base.cyclic_length, base.precision, n0, step)
-    if n0 != base.precision:
-        base = FiberProductRing(semigroup, shift, precision=n0, prime=primes[0])
     cap = n0 // max(semigroup.generators) - 1
 
     runs = []
     for n in (n0, n0 + step):
-        # the prime-free part (product tables, power bases) is built once
-        # per precision and shared by the rings over the other primes
-        first = base
-        if n != n0:
-            first = FiberProductRing(semigroup, shift, precision=n, prime=primes[0])
+        if n == base.precision:
+            ring = base
+        else:
+            ring = FiberProductRing(semigroup, shift, precision=n)
+        # e(B) and the Hilbert profile are the same over every field
+        e_b = ring.multiplicity()
+        # every difference from the stop degree on is e(B)
+        k0 = min(ring._stop_degree, cap)
+        profile = [ring.hilbert_function(k) for k in range(k0 + 1)]
+        profile += [profile[k0] + (k - k0) * e_b for k in range(k0 + 1, cap + 1)]
         for p in primes:
-            ring = first if p == primes[0] else first._over(p)
-            e_b = ring.multiplicity()
-            # every difference from the stop degree on is e(B)
-            k0 = min(ring._stop_degree, cap)
-            profile = [ring.hilbert_function(k) for k in range(k0 + 1)]
-            profile += [profile[k0] + (k - k0) * e_b for k in range(k0 + 1, cap + 1)]
-            soc = ring.socle_of_reduction()
-            graded = ring.graded_socle_of_reduction()
+            ring._check_power_rank(ring._stop_degree + 1, p)
+            soc = ring.socle_of_reduction(p)
+            graded = ring.graded_socle_of_reduction(p)
             runs.append((e_b, tuple(profile), soc, graded))
 
     if any(run != runs[0] for run in runs[1:]):

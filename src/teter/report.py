@@ -106,7 +106,7 @@ def render_text(doc):
     put("  shift:               %s" % _show(strong["shift"]))
     appr = doc["approximation"]
     if appr is None:
-        put("approximation: not requested")
+        put("approximation: none")
     else:
         put("approximation: %s" % appr["status"])
         put("  multiplicity:        %s" % _show(appr["multiplicity"]))

@@ -353,7 +353,8 @@ def bf_rank_mod_p(rows, p):
 # check basis_product and the matching condition checks the matched set;
 # the dense generator matrices, the dense reduction by y, kernel_profile,
 # the dense power spaces and the width-dimensional socles start from
-# ``mult_matrix`` and reuse the package's RowSpace.
+# ``mult_matrix`` and reuse the package's RowSpace.  The ring is the same
+# over every field, so each view that works over F_p takes p.
 
 
 class TruncatedSeries:
@@ -437,9 +438,9 @@ class TruncatedSeries:
         return "TruncatedSeries(%s mod %d)" % (body, self.p)
 
 
-def basis_pair(ring, i):
-    """Basis element i of ring as an honest pair of truncated series."""
-    p, n = ring.prime, ring.precision
+def basis_pair(ring, i, p):
+    """Basis element i of ring as an honest pair of series over F_p."""
+    n = ring.precision
     t_side = TruncatedSeries(p, n)
     u_side = TruncatedSeries(p, n)
     nt = len(ring.t_exponents)
@@ -455,7 +456,7 @@ def basis_pair(ring, i):
 
 
 def gen_matrices(ring):
-    """Dense multiplication matrices of the generators of the maximal ideal."""
+    """Dense 0/1 multiplication matrices of the generators of the maximal ideal."""
     unit = np.eye(ring.width, dtype=np.int64)
     return [ring.mult_matrix(unit[g]) for g in ring.generator_indices]
 
@@ -477,16 +478,16 @@ def superficial_parameter(ring):
     return vec
 
 
-def dense_reduction(ring):
-    """yB as a row space, y the superficial parameter of value (e, 1)."""
-    span = RowSpace(ring.prime, ring.width)
+def dense_reduction(ring, p):
+    """yB as a row space over F_p, y the superficial parameter of value (e, 1)."""
+    span = RowSpace(p, ring.width)
     span.add_matrix(ring.mult_matrix(superficial_parameter(ring)))
     return span
 
 
-def kernel_profile(ring, depth):
-    """Lengths of K/(m^k K) for the kernel K of the t-side projection."""
-    p, w = ring.prime, ring.width
+def kernel_profile(ring, depth, p):
+    """Lengths over F_p of K/(m^k K), K the kernel of the t-side projection."""
+    w = ring.width
     nt = len(ring.t_exponents)
     total = w - nt
     cur = np.zeros((total, w), dtype=np.int64)
@@ -501,14 +502,13 @@ def kernel_profile(ring, depth):
     return out
 
 
-def dense_power_space(ring, previous=None):
+def dense_power_space(ring, p, previous=None):
     """The power of the maximal ideal of ring after ``previous``, densely.
 
     m itself when previous is None: the rows of the generator matrices;
     otherwise m^(k+1), the rows of previous = m^k times each generator
-    matrix.  A row space in all width coordinates.
+    matrix.  A row space over F_p in all width coordinates.
     """
-    p = ring.prime
     space = RowSpace(p, ring.width)
     for m in gen_matrices(ring):
         if previous is not None:
@@ -517,33 +517,33 @@ def dense_power_space(ring, previous=None):
     return space
 
 
-def width_socle(ring):
-    """Socle of B/yB, computed in all width coordinates of B.
+def width_socle(ring, p):
+    """Socle of B/yB over F_p, computed in all width coordinates of B.
 
     The x in B with xg in yB for every generator g, less yB itself.
     """
-    span = dense_reduction(ring)
+    span = dense_reduction(ring, p)
     blocks = [span.reduce_matrix(m) for m in gen_matrices(ring)]
-    killed = ring.width - rank_of(np.hstack(blocks), ring.prime)
+    killed = ring.width - rank_of(np.hstack(blocks), p)
     return killed - span.dim
 
 
-def width_graded_socle(ring):
-    """Graded socle of B/yB, computed in all width coordinates of B.
+def width_graded_socle(ring, p):
+    """Graded socle of B/yB over F_p, computed in all width coordinates of B.
 
     Works with the filtration T_k = (k-th power of the maximal ideal)
     + yB inside B itself; a degree-k class is socle exactly when every
     generator pushes it into T_(k+2).
     """
-    span = dense_reduction(ring)
+    span = dense_reduction(ring, p)
     gens = gen_matrices(ring)
-    p, w = ring.prime, ring.width
+    w = ring.width
     spaces = [None]
     dims = [w]
     power = None
     k = 1
     while True:
-        power = dense_power_space(ring, power)
+        power = dense_power_space(ring, p, power)
         t_k = RowSpace(p, w)
         t_k.add_matrix(span.rows)
         t_k.add_matrix(power.rows)

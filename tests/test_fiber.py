@@ -64,26 +64,26 @@ def test_pairs_satisfy_the_matching_condition(ring345, ring4511):
     for ring in (ring345, ring4511):
         g, c = ring.cyclic_generator, ring.cyclic_length
         for i in range(ring.width):
-            t_side, u_side = basis_pair(ring, i)
+            t_side, u_side = basis_pair(ring, i, DEFAULT_PRIME)
             for k in range(c):
                 assert t_side.coeffs[k * g] == u_side.coeffs[k]
 
 
 def exercise_products(ring, pairs):
-    n = ring.precision
+    p, n = DEFAULT_PRIME, ring.precision
     tested = 0
     for i, j in pairs:
-        ti, ui = basis_pair(ring, i)
-        tj, uj = basis_pair(ring, j)
+        ti, ui = basis_pair(ring, i, p)
+        tj, uj = basis_pair(ring, j, p)
         if ti.top_exponent() + tj.top_exponent() > n:
             continue
         if ui.top_exponent() + uj.top_exponent() > n:
             continue
         want_t, want_u = ti * tj, ui * uj
-        got_t = TruncatedSeries(ring.prime, n)
-        got_u = TruncatedSeries(ring.prime, n)
+        got_t = TruncatedSeries(p, n)
+        got_u = TruncatedSeries(p, n)
         for k in ring.basis_product(i, j):
-            bt, bu = basis_pair(ring, k)
+            bt, bu = basis_pair(ring, k, p)
             got_t, got_u = got_t + bt, got_u + bu
         assert got_t == want_t and got_u == want_u
         tested += 1
@@ -137,23 +137,40 @@ def test_multiplicity_takes_the_largest_difference():
     assert (cert.socle_dim, cert.graded_socle_dim) == (1, 2)
 
 
-def test_multiplicity_budget_too_small():
+def test_multiplicity_never_reaching_the_quotient_length_raises(monkeypatch):
+    # dropping the first row of yB frees its leading index, so l(B/yB)
+    # reads 5, which the differences 1,3,4,4,... of <3,4,5> never reach
+    rows_of_yb = FiberProductRing._rows_of_yb
+
+    def short(self):
+        index, free = rows_of_yb(self)
+        return index[1:], np.union1d(free, index[:1, 0])
+
+    monkeypatch.setattr(FiberProductRing, "_rows_of_yb", short)
     ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
-    # differences 1,3 never reach l(B/yB) = 4
-    with pytest.raises(NonStabilizedError, match=r"never reach l\(B/yB\) = 4"):
-        ring.multiplicity(max_k=1)
-    # differences 1,3,4: one difference equal to l(B/yB) certifies e(B)
-    assert ring.multiplicity(max_k=3) == 4
-    assert ring.multiplicity(max_k=4) == 4
+    with pytest.raises(NonStabilizedError, match=r"never reach l\(B/yB\) = 5"):
+        ring.multiplicity()
+
+
+def test_multiplicity_is_prime_free(monkeypatch):
+    # e(B) is read from the union-find ranks and the count of free
+    # indices: no dense rank and no projection modulo a prime
+    def modular(*args):
+        raise AssertionError("multiplicity() read B modulo a prime")
+
+    monkeypatch.setattr(teter.fiber, "rank_of", modular)
+    monkeypatch.setattr(FiberProductRing, "_projection", modular)
+    assert FiberProductRing(NumericalSemigroup([3, 4, 5]), 6).multiplicity() == 4
 
 
 def test_kernel_profile(ring345):
     # the t-side kernel is a rank-one module over the series variable
-    assert kernel_profile(ring345, 5) == [1, 2, 3, 4, 5]
+    assert kernel_profile(ring345, 5, DEFAULT_PRIME) == [1, 2, 3, 4, 5]
 
 
 def test_socle_of_reduction(ring345, ring4511):
     assert ring345.socle_of_reduction() == 1
+    assert ring345.socle_of_reduction(SECOND_PRIME) == 1
     assert ring345.is_gorenstein()
     assert FiberProductRing(NumericalSemigroup([3, 4, 5]), 5).socle_of_reduction() == 1
     assert ring4511.socle_of_reduction() == 1
@@ -187,21 +204,21 @@ def test_hilbert_function_matches_the_dense_powers():
     # dimensions, and the union-find basis inside the dense span
     cases = list(_witness_rings(6))
     cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
-    rings = 0
+    runs = 0
     for H, shift in cases:
+        ring = FiberProductRing(H, shift)
         for p in (DEFAULT_PRIME, SECOND_PRIME):
-            ring = FiberProductRing(H, shift, prime=p)
             power = None
             for k in range(ring.precision // max(H.generators)):
-                power = dense_power_space(ring, power)
+                power = dense_power_space(ring, p, power)
                 assert ring.hilbert_function(k) == ring.width - power.dim
                 # pairs of (t-index, u-index), -1 for none: the last column
                 basis = ring._power_basis(k + 1)
                 mat = np.zeros((len(basis), ring.width + 1), dtype=np.int64)
                 mat[np.arange(len(basis))[:, None], basis] = 1
                 assert not power.reduce_matrix(mat[:, :-1]).any(), (H, shift, p, k)
-            rings += 1
-    assert rings == 2 * len(cases) == 2 * (40 + 4)
+            runs += 1
+    assert runs == 2 * len(cases) == 2 * (40 + 4)
 
 
 BROKEN_PRODUCTS = {
@@ -232,9 +249,27 @@ def test_non_bimonomial_product_raises(monkeypatch, fault):
 def test_power_rank_mismatch_raises(monkeypatch):
     rank_of = teter.fiber.rank_of
     monkeypatch.setattr(teter.fiber, "rank_of", lambda mat, p: rank_of(mat, p) + 1)
-    ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
     with pytest.raises(CrossCheckError, match="union-find"):
-        ring.multiplicity()
+        verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
+
+
+@pytest.mark.parametrize(
+    "primes, checks",
+    [((DEFAULT_PRIME, SECOND_PRIME), 4), ((2, 3, 5), 6)],
+    ids=["default-primes", "three-primes"],
+)
+def test_power_rank_checked_once_per_precision_and_prime(monkeypatch, primes, checks):
+    calls = []
+    check_power_rank = FiberProductRing._check_power_rank
+
+    def counting(self, k, prime):
+        calls.append((self.precision, prime))
+        return check_power_rank(self, k, prime)
+
+    monkeypatch.setattr(FiberProductRing, "_check_power_rank", counting)
+    cert = verify_approximation(NumericalSemigroup([3, 4, 5]), 6, primes=primes)
+    assert len(calls) == len(set(calls)) == checks
+    assert set(calls) == {(n, p) for n in cert.precisions_checked for p in primes}
 
 
 def test_multiplicity_makes_no_dense_products(monkeypatch):
@@ -254,15 +289,15 @@ def test_multiplicity_makes_no_dense_products(monkeypatch):
 
 def test_socles_match_the_width_dimensional_reference():
     # every witness shift of every semigroup of genus <= 5, at both primes
-    rings = 0
+    runs = 0
     for H, shift in _witness_rings(5):
+        ring = FiberProductRing(H, shift)
         for p in (DEFAULT_PRIME, SECOND_PRIME):
-            ring = FiberProductRing(H, shift, prime=p)
-            got = (ring.socle_of_reduction(), ring.graded_socle_of_reduction())
-            want = (width_socle(ring), width_graded_socle(ring))
+            got = (ring.socle_of_reduction(p), ring.graded_socle_of_reduction(p))
+            want = (width_socle(ring, p), width_graded_socle(ring, p))
             assert got == want, (H, shift, p)
-            rings += 1
-    assert rings == 40
+            runs += 1
+    assert runs == 40
 
 
 def test_socles_stay_inside_the_reduction(monkeypatch):
@@ -301,20 +336,20 @@ def test_reduction_matches_dense_elimination():
     # dense residues of the generator matrices
     cases = list(_witness_rings(6))
     cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
-    rings = 0
+    runs = 0
     for H, shift in cases:
+        ring = FiberProductRing(H, shift)
         for p in (2, 3, DEFAULT_PRIME, SECOND_PRIME):
-            ring = FiberProductRing(H, shift, prime=p)
-            free = ring._reduction()[0]
-            span = dense_reduction(ring)
+            free = ring._reduction(p)[0]
+            span = dense_reduction(ring, p)
             assert len(free) == ring.width - span.dim
             dense_free = np.setdiff1d(np.arange(ring.width), span.pivots)
             assert np.array_equal(free, dense_free), (H, shift, p)
             want = [span.reduce_matrix(m[free])[:, free] for m in gen_matrices(ring)]
-            got = ring._quotient_actions()
+            got = ring._quotient_actions(p)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), (H, shift, p)
-            rings += 1
-    assert rings == 4 * len(cases) == 4 * (40 + 4)
+            runs += 1
+    assert runs == 4 * len(cases) == 4 * (40 + 4)
 
 
 def test_rows_of_yb_with_one_leading_index_raise(monkeypatch):
@@ -349,25 +384,33 @@ def test_rows_of_yb_with_a_repeated_index_raise(monkeypatch):
         ring.multiplicity()
 
 
-@pytest.mark.parametrize("where", ["leading", "free"])
+PROJECTION_FAULTS = {
+    # a leading index of yB no longer maps to minus its row's other indices
+    "leading": "misses a row of yB",
+    # a free index no longer maps to its own basis vector of B/yB
+    "free": "moves a free index",
+}
+
+
+@pytest.mark.parametrize("where", sorted(PROJECTION_FAULTS))
 def test_corrupted_projection_raises(monkeypatch, where):
     projection = FiberProductRing._projection
 
-    def corrupted(self, index, free):
-        proj = projection(self, index, free)
+    def corrupted(self, index, free, prime):
+        proj = projection(self, index, free, prime)
         row = index[0, 0] if where == "leading" else free[-1]
-        proj[row, 0] = (proj[row, 0] + 1) % self.prime
+        proj[row, 0] = (proj[row, 0] + 1) % prime
         return proj
 
     monkeypatch.setattr(FiberProductRing, "_projection", corrupted)
     ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
-    with pytest.raises(CrossCheckError, match="projection onto B/yB"):
-        ring.multiplicity()
+    with pytest.raises(CrossCheckError, match=PROJECTION_FAULTS[where]):
+        ring.socle_of_reduction()
 
 
 def test_prime_free_tables_are_built_once_per_precision(monkeypatch):
-    # the tables of the two rings at the requested precision and the two
-    # at the larger one: one set per precision, shared across the primes
+    # one ring at the requested precision and one at the larger one, each
+    # reading its tables once for both primes
     calls = []
     basis_product = FiberProductRing.basis_product
 
@@ -402,8 +445,8 @@ def test_rejects_bad_precision_and_modulus():
     H = NumericalSemigroup([3, 4, 5])
     with pytest.raises(PrecisionTooSmallError):
         FiberProductRing(H, 6, precision=20)
-    with pytest.raises(ValueError):
-        FiberProductRing(H, 6, prime=10)
+    with pytest.raises(ValueError, match="not prime"):
+        FiberProductRing(H, 6).socle_of_reduction(10)
 
 
 def test_build_approximation_is_the_ring():
@@ -443,9 +486,10 @@ def test_oversized_modulus_refused_before_primality(monkeypatch):
 
     monkeypatch.setattr("teter.modp.is_prime", no_trial_division)
     H = NumericalSemigroup([3, 4, 5])
+    ring = FiberProductRing(H, 6)
     for p in (2**16, 2**31 - 1):
         with pytest.raises(ValueError, match="2\\^16"):
-            FiberProductRing(H, 6, prime=p)
+            ring.socle_of_reduction(p)
     with pytest.raises(ValueError, match="2\\^16"):
         verify_approximation(H, 6, primes=(2305843009213693951, 65521))
 
@@ -484,9 +528,9 @@ def test_every_genus_13_witness_reaches_the_multiplicity():
         ring = FiberProductRing(H, report.witness.shift)
         assert ring.multiplicity() == H.multiplicity + 1, gens
         # y has the value (e, 1): its least exponents on the two branches
-        pairs = [basis_pair(ring, i) for i in ring._parameter()]
-        t_side = np.flatnonzero(sum(t.coeffs for t, _ in pairs) % ring.prime)
-        u_side = np.flatnonzero(sum(u.coeffs for _, u in pairs) % ring.prime)
+        pairs = [basis_pair(ring, i, DEFAULT_PRIME) for i in ring._parameter()]
+        t_side = np.flatnonzero(sum(t.coeffs for t, _ in pairs) % DEFAULT_PRIME)
+        u_side = np.flatnonzero(sum(u.coeffs for _, u in pairs) % DEFAULT_PRIME)
         assert (t_side[0], u_side[0]) == (H.multiplicity, 1), gens
         rings += 1
     elapsed = time.perf_counter() - start

@@ -98,6 +98,6 @@ def test_render_text_placeholders():
     text = render_text(build_report_document(report))
     assert "verdict: Gorenstein" in text
     assert "witness: none" in text
-    assert "approximation: not requested" in text
+    assert "approximation: none" in text
     assert "strongly Teter: NotApplicable" in text
     assert "not-Teter reason:    -" in text
