@@ -6,16 +6,21 @@ monomial basis t^0, t^g, ..., t^((c-1)g).  The pullback of the two
 surjections A -> A/J <- k[[u]] (u mapped to the class of t^g) is a
 complete local ring B of dimension one.  Its elements are pairs (f, q)
 agreeing in A/J, which pins the coefficient of u^i in q to the
-coefficient of t^(ig) in f for 0 <= i < c.
+coefficient of t^(ig) in f for 0 <= i < c.  For J a shift of omega,
+c >= 2: shifts keep I - I and omega - omega = H, but F is in M - M, so
+J is never M.
 
-B has a monomial-like k-basis: pairs b_h = (t^h, u^(h/g) or 0) for h in
-H, one for each member h, plus pure tails z_j = (0, u^j) for j >= c.
-Products of basis elements are sums of at most two basis elements with
-all coefficients equal to 1, so the whole ring is combinatorial.  The
-model keeps every exponent up to a precision N; the span of the basis
-elements above N is an ideal, hence the model is an honest quotient
-ring, and lengths computed below a precision-dependent degree bound are
-the true lengths in B.
+B has a monomial-like k-basis, each element stored as its exponent pair,
+its values on the branches k[[t]] and k[[u]] (None for a zero side):
+b_h = (t^h, u^(h/g)), pair (h, h/g), for h = 0, g, ..., (c-1)g; b_h =
+(t^h, 0), pair (h, None), for the other members h; z_j = (0, u^j), pair
+(None, j), for j >= c.  A product adds the pairs side by side: it is the
+member of exponent a + b plus the tail of exponent v + w >= c (when
+v + w < c, the member a + b = (v + w)g carries that u-part), so the
+whole ring is combinatorial.  The model keeps every exponent up to a
+precision N; the span of the basis elements above N is an ideal, hence
+the model is an honest quotient ring, and lengths computed below a
+precision-dependent degree bound are the true lengths in B.
 
 The lengths are combinatorial too.  Every power of the maximal ideal
 is spanned by bimonomials (t^a or 0, u^j or 0): in the basis, vectors
@@ -23,11 +28,11 @@ with at most one t-index and one u-index, both coefficients 1.  Their
 rank is a union-find count on a bipartite graph, the same over every
 field.  The superficial parameter y has the value (e, 1), the least on
 each branch of the normalization k[[t]] x k[[u]], so yB is a reduction
-of the maximal ideal.  y is a sum of basis elements, and the rows of yB
-are 0/1 and lead at distinct basis indices, again over every field, so
-B/yB needs no elimination either: the other indices are its basis, and
-l(B/yB) is their count.  The multiplicity e(B) is certified by the
-first Hilbert difference equal to l(B/yB).
+of the maximal ideal.  y is b_g when e = g and b_e + b_g otherwise, the
+rows of yB are 0/1 and lead at distinct basis indices, again over every
+field, so B/yB needs no elimination either: the other indices are its
+basis, and l(B/yB) is their count.  The multiplicity e(B) is certified
+by the first Hilbert difference equal to l(B/yB).
 
 So one FiberProductRing is the model of B at one precision, over every
 field.  Only the steps that read B/yB modulo a prime take the prime as
@@ -95,9 +100,10 @@ class FiberProductRing:
 
     Vectors of length ``width`` are coordinates in the basis
     b_(h_0), b_(h_1), ... (members of H up to N, ascending) followed by
-    z_c, z_(c+1), ..., z_N.  Multiplication by a fixed element is a
-    width x width matrix acting on row vectors.  The methods that read
-    B/yB modulo a prime take it as ``prime``.
+    z_c, z_(c+1), ..., z_N; ``_values`` holds their exponent pairs.
+    Multiplication by a fixed element is a width x width matrix acting
+    on row vectors.  The methods that read B/yB modulo a prime take it
+    as ``prime``.
     """
 
     def __init__(self, semigroup, shift, precision=None):
@@ -111,15 +117,13 @@ class FiberProductRing:
                 "shift %d does not give a proper monomial ideal" % shift
             )
         data = quotient_data(semigroup, ideal)
-        if data.mu > 1:
+        if data.mu != 1:
             raise NoWitnessError(
-                "quotient at shift %d needs %d generators, not cyclic"
+                "quotient at shift %d needs %d generators, not one"
                 % (shift, data.mu)
             )
-        floor = max(
-            default_precision(semigroup),
-            2 * (shift + max(semigroup.generators)),
-        )
+        # a valid shift is at most max + F (witness_shifts): 2(shift + max) < floor
+        floor = default_precision(semigroup)
         if precision is None:
             precision = floor
         elif precision < floor:
@@ -132,7 +136,7 @@ class FiberProductRing:
         self.semigroup = semigroup
         self.shift = shift
         self.precision = precision
-        self.cyclic_generator = data.cyclic_generator
+        self.cyclic_generator = g = data.cyclic_generator
         self.cyclic_length = data.cyclic_length
 
         self.t_exponents = tuple(semigroup.members_up_to(precision))
@@ -142,9 +146,12 @@ class FiberProductRing:
         self._u_index = {
             j: len(self.t_exponents) + i for i, j in enumerate(self.u_exponents)
         }
-        self._matched = frozenset(data.cobasis)
-        if not self._matched <= set(self._t_index):
+        matched = set(data.cobasis)
+        if not matched <= set(self._t_index):
             raise CrossCheckError("quotient basis escapes the precision window")
+        self._values = [
+            (h, h // g if h in matched else None) for h in self.t_exponents
+        ] + [(None, j) for j in self.u_exponents]
 
         self._product_tables = {}
         self._powers = []
@@ -157,36 +164,16 @@ class FiberProductRing:
     def basis_product(self, i, j):
         """Indices of basis[i] * basis[j]; every coefficient is 1.
 
-        At most two indices come back: the t-side exponent sum when it
-        fits under the precision, and a pure tail whenever both factors
-        carry a matched u-part whose exponents add up past the quotient.
+        The exponent pairs add side by side: the member of t-exponent
+        a + b and the tail of u-exponent v + w >= c, where both exist.
         """
-        nt = len(self.t_exponents)
+        (a, v), (b, w) = self._values[i], self._values[j]
         out = []
-        if i >= nt and j >= nt:
-            tot = self.u_exponents[i - nt] + self.u_exponents[j - nt]
-            if tot <= self.precision:
-                out.append(self._u_index[tot])
-            return out
-        if i >= nt:
-            i, j = j, i
-        if j >= nt:
-            h = self.t_exponents[i]
-            if h not in self._matched:
-                return out
-            part = h // self.cyclic_generator if h else 0
-            tot = part + self.u_exponents[j - nt]
-            if tot <= self.precision:
-                out.append(self._u_index[tot])
-            return out
-        h, hp = self.t_exponents[i], self.t_exponents[j]
-        tot = h + hp
-        if tot <= self.precision:
-            out.append(self._t_index[tot])
-        if h in self._matched and hp in self._matched:
-            part = tot // self.cyclic_generator if tot else 0
-            if self.cyclic_length <= part <= self.precision:
-                out.append(self._u_index[part])
+        if a is not None and b is not None and a + b <= self.precision:
+            out.append(self._t_index[a + b])
+        if v is not None and w is not None:
+            if self.cyclic_length <= v + w <= self.precision:
+                out.append(self._u_index[v + w])
         return out
 
     def _product_table(self, i):
@@ -348,16 +335,12 @@ class FiberProductRing:
 
     def _parameter(self):
         # basis indices of the superficial parameter y, every coefficient
-        # 1.  y has t-order e and u-order 1: b_e, plus z_1 when the
-        # quotient is k, or plus b_g when e is unmatched (b_e itself is
-        # (t^e, u) when e = g).  Its value (e, 1) is the least on each
-        # branch of the normalization, so yB is a reduction of m.
-        terms = [self._t_index[self.semigroup.multiplicity]]
-        if self.cyclic_length == 1:
-            terms.append(self._u_index[1])
-        elif self.semigroup.multiplicity not in self._matched:
-            terms.append(self._t_index[self.cyclic_generator])
-        return terms
+        # 1: b_g = (t^g, u) when e = g, else b_e + b_g (e is in the
+        # quotient basis 0, g, ..., (c-1)g only as g).  Its value (e, 1)
+        # is the least on each branch of the normalization, so yB is a
+        # reduction of m.
+        e, g = self.semigroup.multiplicity, self.cyclic_generator
+        return sorted({self._t_index[e], self._t_index[g]})
 
     def _rows_of_yb(self):
         # the rows y*b_j of yB, as sorted basis indices padded with width:
@@ -527,8 +510,9 @@ def verify_approximation(
             ring = FiberProductRing(semigroup, shift, precision=n)
         # e(B) and the Hilbert profile are the same over every field
         e_b = ring.multiplicity()
-        # every difference from the stop degree on is e(B)
-        k0 = min(ring._stop_degree, cap)
+        # every difference from the stop degree on is e(B); the ring at n0
+        # stops by cap, and one stopping later disagrees with it
+        k0 = ring._stop_degree
         profile = [ring.hilbert_function(k) for k in range(k0 + 1)]
         profile += [profile[k0] + (k - k0) * e_b for k in range(k0 + 1, cap + 1)]
         for p in primes:

@@ -11,6 +11,7 @@ the end are the exception: they view a ring built by the package.
 import numpy as np
 
 from teter import PrecisionTooSmallError
+from teter.ideals import canonical_ideal, quotient_data
 from teter.modp import RowSpace, matmul_mod, rank_of
 
 
@@ -349,8 +350,9 @@ def bf_rank_mod_p(rows, p):
 #
 # Test-only views of a FiberProductRing.  TruncatedSeries is an
 # independent series arithmetic; basis_pair reads a ring's exponent lists
-# and the matched set that basis_product uses, so products of the pairs
-# check basis_product and the matching condition checks the matched set;
+# and takes the quotient basis from the shifted canonical ideal, not from
+# the ring's exponent pairs, so products of the pairs check basis_product
+# and the matching condition checks the quotient basis;
 # the dense generator matrices, the dense reduction by y, kernel_profile,
 # the dense power spaces and the width-dimensional socles start from
 # ``mult_matrix`` and reuse the package's RowSpace.  The ring is the same
@@ -447,9 +449,9 @@ def basis_pair(ring, i, p):
     if i < nt:
         h = ring.t_exponents[i]
         t_side = TruncatedSeries.monomial(p, n, h)
-        if h in ring._matched:
-            part = h // ring.cyclic_generator if h else 0
-            u_side = TruncatedSeries.monomial(p, n, part)
+        H = ring.semigroup
+        if h in quotient_data(H, canonical_ideal(H).shift(ring.shift)).cobasis:
+            u_side = TruncatedSeries.monomial(p, n, h // ring.cyclic_generator)
     else:
         u_side = TruncatedSeries.monomial(p, n, ring.u_exponents[i - nt])
     return t_side, u_side

@@ -21,10 +21,14 @@ import teter.fiber
 import teter.modp
 from teter.classify import witness_shifts
 from teter.fiber import default_precision
+from teter.ideals import QuotientData
 from teter.modp import DEFAULT_PRIME, SECOND_PRIME
 from oracle import (
     TruncatedSeries,
     basis_pair,
+    bf_frobenius,
+    bf_symmetric,
+    bf_teter_shifts,
     dense_power_space,
     dense_reduction,
     enumerate_semigroups,
@@ -90,10 +94,13 @@ def exercise_products(ring, pairs):
     return tested
 
 
-def test_products_act_componentwise_exhaustive(ring345):
-    w = ring345.width
+@pytest.mark.parametrize("shift", [6, 5], ids=["e-equals-g", "e-below-g"])
+def test_products_act_componentwise_exhaustive(shift):
+    # at shift 6, g = e = 3 and c = 3; at shift 5, g = 5 > e and c = 2
+    ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), shift)
+    w = ring.width
     pairs = [(i, j) for i in range(w) for j in range(i, w)]
-    assert exercise_products(ring345, pairs) > 1000
+    assert exercise_products(ring, pairs) > 1000
 
 
 def test_products_act_componentwise_sampled(ring4511):
@@ -431,6 +438,32 @@ def test_prime_free_tables_are_built_once_per_precision(monkeypatch):
 def test_rejects_gorenstein_base():
     with pytest.raises(GorensteinInputError):
         FiberProductRing(NumericalSemigroup([3, 4]), 6)
+
+
+def test_witness_shifts_have_length_two_and_stay_below_max_plus_frobenius():
+    # what the model rests on: every shift of omega giving a proper ideal
+    # with cyclic quotient, over a window three times the scanned one, has
+    # a quotient of length c >= 2 and is at most max + F (so the wider
+    # window finds no shift past the scanned one)
+    shifts = 0
+    for _, gens in enumerate_semigroups(9):
+        if bf_symmetric(gens):
+            continue
+        top = max(gens) + bf_frobenius(gens)
+        for s, cobasis in bf_teter_shifts(gens, 3):
+            assert len(cobasis) >= 2 and s <= top, (gens, s)
+            shifts += 1
+    assert shifts == 131
+
+
+def test_quotient_equal_to_the_residue_field_is_refused(monkeypatch):
+    # a J equal to the maximal ideal (mu = 0, c = 1) never comes from a
+    # shift of omega; the model refuses it instead of building a c = 1 ring
+    monkeypatch.setattr(
+        teter.fiber, "quotient_data", lambda H, I: QuotientData((0,), 0, None, 1)
+    )
+    with pytest.raises(NoWitnessError, match="needs 0 generators"):
+        FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
 
 
 def test_rejects_bad_shifts():
