@@ -35,13 +35,14 @@ basis, and l(B/yB) is their count.  The multiplicity e(B) is certified
 by the first Hilbert difference equal to l(B/yB).
 
 So one FiberProductRing is the model of B at one precision, over every
-field.  Only the steps that read B/yB modulo a prime take the prime as
-an argument: a sweep over the rows of yB projects every basis element
-onto the free indices, the socle and the graded socle are computed in
-B/yB, of dimension e(B), and one dense elimination cross-checks the
-rank of a power.  verify_approximation runs them at two primes and two
-precisions; the sweep either agrees with itself (and with the
-semigroup-side multiplicity) or raises.
+field.  Only the steps that work modulo a prime take the prime as an
+argument: a sweep over the rows of yB projects every basis element onto
+the free indices, the socle and the graded socle are computed in B/yB,
+of dimension e(B), and a sparse elimination over F_p of the spanning
+products of a power cross-checks its union-find rank.
+verify_approximation runs them at two primes and two precisions; the
+sweep either agrees with itself (and with the semigroup-side
+multiplicity) or raises.
 """
 
 from dataclasses import dataclass
@@ -63,13 +64,16 @@ from .modp import (
     check_modulus,
     matmul_mod,
     rank_of,
+    sparse_rank,
 )
 
 
-# Widest model a FiberProductRing builds: the one dense step, the rank
-# check of a power of the maximal ideal, grows as width^2 in memory and
-# width^3 in time (width 599, `analyze 3,4,5 --approximate --precision
-# 291`: 0.2 s and 42 MB peak on a 2-core x86-64 VM).
+# Widest model a FiberProductRing builds.  The product tables, the
+# union-find of each power and the sparse rank check all grow linearly
+# with the width, and the Python loop that fills the product tables
+# dominates (widths 579 and 599, `analyze 3,4,5 --approximate --precision
+# 291`: 0.02 s in verify_approximation, 31 MB peak for the whole command
+# on a 2-core x86-64 VM).
 MAX_WIDTH = 600
 
 
@@ -155,6 +159,7 @@ class FiberProductRing:
 
         self._product_tables = {}
         self._powers = []
+        self._products = []
         self._rows = None
         self._actions = {}
         self._multiplicity = self._stop_degree = None
@@ -253,7 +258,8 @@ class FiberProductRing:
         # the vectors into the columns of an oriented incidence matrix
         # with the ground row deleted, so a set of them is independent
         # over every field exactly when its edges form a forest: a
-        # union-find keeps a spanning forest.
+        # union-find keeps a spanning forest.  The spanning products are
+        # kept beside the basis for the rank check.
         while len(self._powers) < k:
             parent = {}
 
@@ -265,27 +271,28 @@ class FiberProductRing:
                     x = up
                 return x
 
+            products = self._spanning_products(len(self._powers) + 1).tolist()
             basis = []
-            for t, u in self._spanning_products(len(self._powers) + 1).tolist():
+            for t, u in products:
                 a, b = root(t), root(u)
                 if a != b:
                     parent[a] = b
                     basis.append((t, u))
+            self._products.append(products)
             self._powers.append(np.array(basis, dtype=np.int64).reshape(-1, 2))
         return self._powers[k - 1]
 
     def _check_power_rank(self, k, prime):
-        # one dense elimination over F_prime of the k-th power's spanning
-        # products must agree with the union-find rank
-        mat = self._dense(self._spanning_products(k))
-        # rank_of eliminates row by row: take the shorter side
-        if len(mat) > self.width:
-            mat = mat.T
-        dense, combinatorial = rank_of(mat, prime), len(self._power_basis(k))
-        if dense != combinatorial:
+        # a sparse elimination over F_prime of the k-th power's spanning
+        # products, each the row {t-index: 1, u-index: 1} without the -1,
+        # must agree with the union-find rank
+        combinatorial = len(self._power_basis(k))
+        rows = ({x: 1 for x in pair if x >= 0} for pair in self._products[k - 1])
+        modular = sparse_rank(rows, prime)
+        if modular != combinatorial:
             raise CrossCheckError(
                 "power %d has rank %d over F_%d but %d by union-find"
-                % (k, dense, prime, combinatorial)
+                % (k, modular, prime, combinatorial)
             )
 
     def hilbert_function(self, k):

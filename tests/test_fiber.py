@@ -166,6 +166,7 @@ def test_multiplicity_is_prime_free(monkeypatch):
         raise AssertionError("multiplicity() read B modulo a prime")
 
     monkeypatch.setattr(teter.fiber, "rank_of", modular)
+    monkeypatch.setattr(teter.fiber, "sparse_rank", modular)
     monkeypatch.setattr(FiberProductRing, "_projection", modular)
     assert FiberProductRing(NumericalSemigroup([3, 4, 5]), 6).multiplicity() == 4
 
@@ -254,8 +255,10 @@ def test_non_bimonomial_product_raises(monkeypatch, fault):
 
 
 def test_power_rank_mismatch_raises(monkeypatch):
-    rank_of = teter.fiber.rank_of
-    monkeypatch.setattr(teter.fiber, "rank_of", lambda mat, p: rank_of(mat, p) + 1)
+    sparse_rank = teter.fiber.sparse_rank
+    monkeypatch.setattr(
+        teter.fiber, "sparse_rank", lambda rows, p: sparse_rank(rows, p) + 1
+    )
     with pytest.raises(CrossCheckError, match="union-find"):
         verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
 
@@ -277,6 +280,51 @@ def test_power_rank_checked_once_per_precision_and_prime(monkeypatch, primes, ch
     cert = verify_approximation(NumericalSemigroup([3, 4, 5]), 6, primes=primes)
     assert len(calls) == len(set(calls)) == checks
     assert set(calls) == {(n, p) for n in cert.precisions_checked for p in primes}
+
+
+def test_power_rank_check_is_sparse_and_shares_the_spanning_products(monkeypatch):
+    # inside the rank check nothing builds a width-wide matrix or a row
+    # space; the socles may still use them.  The spanning products of
+    # each power are built once per ring and read at both primes.
+    checking = []
+
+    def dense(name, real):
+        def guarded(*args, **kwargs):
+            if checking:
+                raise AssertionError("%s inside the power rank check" % name)
+            return real(*args, **kwargs)
+
+        return guarded
+
+    check_power_rank = FiberProductRing._check_power_rank
+
+    def flagged(self, k, prime):
+        checking.append(k)
+        try:
+            return check_power_rank(self, k, prime)
+        finally:
+            checking.pop()
+
+    spanned = []
+    spanning_products = FiberProductRing._spanning_products
+
+    def counting(self, k):
+        spanned.append((self.precision, k))
+        return spanning_products(self, k)
+
+    monkeypatch.setattr(FiberProductRing, "_check_power_rank", flagged)
+    monkeypatch.setattr(FiberProductRing, "_spanning_products", counting)
+    monkeypatch.setattr(
+        FiberProductRing, "_dense", dense("_dense", FiberProductRing._dense)
+    )
+    monkeypatch.setattr(teter.fiber, "rank_of", dense("rank_of", teter.fiber.rank_of))
+    monkeypatch.setattr(
+        teter.fiber, "RowSpace", dense("RowSpace", teter.fiber.RowSpace)
+    )
+    cert = verify_approximation(NumericalSemigroup([5, 6, 13]), 20)
+    assert cert.multiplicity == 6
+    assert len(spanned) == len(set(spanned))
+    assert {n for n, _ in spanned} == set(cert.precisions_checked)
 
 
 def test_multiplicity_makes_no_dense_products(monkeypatch):
