@@ -99,6 +99,27 @@ def _check_width(semigroup, cyclic_length, floor, precision, sweep=0):
         )
 
 
+def _witness_quotient(semigroup, shift):
+    """A/J for J = omega + shift, refused unless J is a proper ideal with
+    a cyclic quotient on a non-Gorenstein ring."""
+    if semigroup.is_gorenstein:
+        raise GorensteinInputError(
+            "the construction needs a non-Gorenstein base ring"
+        )
+    ideal = canonical_ideal(semigroup).shift(shift)
+    if not ideal.is_proper_ideal():
+        raise NoWitnessError(
+            "shift %d does not give a proper monomial ideal" % shift
+        )
+    data = quotient_data(semigroup, ideal)
+    if data.mu != 1:
+        raise NoWitnessError(
+            "quotient at shift %d needs %d generators, not one"
+            % (shift, data.mu)
+        )
+    return data
+
+
 class FiberProductRing:
     """The ring B truncated at a fixed precision, over every field.
 
@@ -111,21 +132,7 @@ class FiberProductRing:
     """
 
     def __init__(self, semigroup, shift, precision=None):
-        if semigroup.is_gorenstein:
-            raise GorensteinInputError(
-                "the construction needs a non-Gorenstein base ring"
-            )
-        ideal = canonical_ideal(semigroup).shift(shift)
-        if not ideal.is_proper_ideal():
-            raise NoWitnessError(
-                "shift %d does not give a proper monomial ideal" % shift
-            )
-        data = quotient_data(semigroup, ideal)
-        if data.mu != 1:
-            raise NoWitnessError(
-                "quotient at shift %d needs %d generators, not one"
-                % (shift, data.mu)
-            )
+        data = _witness_quotient(semigroup, shift)
         # a valid shift is at most max + F (witness_shifts): 2(shift + max) < floor
         floor = default_precision(semigroup)
         if precision is None:
@@ -502,19 +509,18 @@ def verify_approximation(
     """
     primes = check_primes(primes)
     step = 2 * max(semigroup.generators)
-    # the ring at the floor (nothing computed yet) gives the quotient length,
-    # so the sweep's larger precision is refused before anything is computed
-    base = FiberProductRing(semigroup, shift)
-    n0 = base.precision if precision is None else precision
-    _check_width(semigroup, base.cyclic_length, base.precision, n0, step)
+    # the quotient length sizes both models: the floor's is refused first,
+    # then the sweep's larger precision, before any ring is built
+    c = _witness_quotient(semigroup, shift).cyclic_length
+    floor = default_precision(semigroup)
+    _check_width(semigroup, c, floor, floor)
+    n0 = floor if precision is None else precision
+    _check_width(semigroup, c, floor, n0, step)
     cap = n0 // max(semigroup.generators) - 1
 
     runs = []
     for n in (n0, n0 + step):
-        if n == base.precision:
-            ring = base
-        else:
-            ring = FiberProductRing(semigroup, shift, precision=n)
+        ring = FiberProductRing(semigroup, shift, precision=n)
         # e(B) and the Hilbert profile are the same over every field
         e_b = ring.multiplicity()
         # every difference from the stop degree on is e(B); the ring at n0

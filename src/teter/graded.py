@@ -8,6 +8,7 @@ strongly-Teter test, finite combinatorial questions.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CrossCheckError, ImproperIdealError, TangentConeNotCMError
 from .ideals import RelativeIdeal
@@ -23,20 +24,27 @@ def assoc_graded_is_cm(H):
     Algebra 304, 2006): additivity, a class that has left its Apery
     element steps by e at every later row; and the Hilbert function,
     sum_i (a_(n+1)[i] - a_n[i]) / e = #{w in Ap : ord w <= n} for all n.
-    They disagree only on an internal error; each call is O(e * rows).
+    The degrees come off the table's columns, not from ord: a_n[i] is
+    a_0[i] exactly for n <= ord(a_0[i]), and ord(a_0[i]) never passes
+    the last row, so ord(a_0[i]) = #{n : a_n[i] = a_0[i]} - 1.  The
+    criteria disagree only on an internal error; each call is
+    O(e * rows).
     """
     rows = H.apery_table
     e = H.multiplicity
-    steps = list(zip(rows, rows[1:]))
+    columns = list(zip(*rows))
     additive = all(
-        a == w or b == a + e
-        for low, high in steps
-        for w, a, b in zip(rows[0], low, high)
+        a == column[0] or b == a + e
+        for column in columns
+        for a, b in zip(column, column[1:])
     )
-    degrees = [H.ord(w) for w in rows[0]]
+    # counts[d] = #{w in Ap : ord w = d}; its running sums are the right-hand sides
+    counts = [0] * len(rows)
+    for column in columns:
+        counts[column.count(column[0]) - 1] += 1
     hilbert = all(
-        (sum(high) - sum(low)) // e == sum(d <= n for d in degrees)
-        for n, (low, high) in enumerate(steps)
+        (sum(high) - sum(low)) // e == at_most
+        for low, high, at_most in zip(rows, rows[1:], accumulate(counts))
     )
     if additive != hilbert:
         raise CrossCheckError(

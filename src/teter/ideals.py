@@ -60,8 +60,16 @@ class RelativeIdeal:
     __contains__ = contains
 
     def shift(self, s):
-        """The translate I + s; minimality of generators is preserved."""
-        return RelativeIdeal(self.ambient, tuple(g + s for g in self.generators))
+        """The translate I + s; minimality of generators is preserved.
+
+        Class i of I + s is class i - s of I moved up by s, so the Apery
+        set comes along in O(e), without a pass over the generators.
+        """
+        shifted = RelativeIdeal(self.ambient, tuple(g + s for g in self.generators))
+        apery = self.apery
+        k = len(apery) - s % len(apery)
+        vars(shifted)["apery"] = tuple(a + s for a in apery[k:] + apery[:k])
+        return shifted
 
     def is_proper_ideal(self):
         """True iff I sits inside the maximal ideal: generators are

@@ -10,14 +10,24 @@ Everything rests on the Apery set of the multiplicity e: the least
 member in each residue class mod e, found by shortest paths over the
 residues (Nijenhuis, "A minimal-path algorithm for the money changing
 problem", 1979).  Membership is n >= Ap[n mod e], the Frobenius number
-is max Ap - e, and the gaps and minimal generators are read off it, as
-is ord off its extension to the powers of m, ``apery_table``.
+is max Ap - e, and the gaps (class i holds i, i + e, ... below Ap[i])
+and minimal generators are read off it.
+
+Its extension to the powers of m, ``apery_table``, is built a row at a
+time on whole arrays: one gather over the generators and a minimum.
+ord bisects the table's columns, which are nondecreasing.  Numpy holds
+only minimal generators and table entries (each at most F + e^2, with
+F and e bounded by MAX_TABLE), so int64 never overflows; everything
+returned is a tuple of Python ints.
 """
 
 import heapq
 import math
+from bisect import bisect_right
 from functools import cached_property
 from itertools import chain
+
+import numpy as np
 
 from .errors import (
     CrossCheckError,
@@ -75,7 +85,10 @@ class NumericalSemigroup:
         self.frobenius = max(apery) - e
         _check_table(self.frobenius + 1, "gap")
         self.apery = tuple(apery)
-        self.gaps = tuple(h for h in range(1, self.frobenius + 1) if h < apery[h % e])
+        # the gaps of class i are i, i + e, ... below Ap[i]
+        self.gaps = tuple(
+            sorted(chain.from_iterable(range(i, w, e) for i, w in enumerate(apery)))
+        )
 
         # Every minimal generator but e is a nonzero Apery element, and
         # a member is not minimal iff it is some input generator plus a
@@ -143,10 +156,13 @@ class NumericalSemigroup:
         # the e - 1 candidates w - e need testing.  f + h lands in H for
         # all nonzero h iff it does for the generators, since every
         # member is a sum of generators.
-        e = self.multiplicity
-        gens = self.generators
-        candidates = (w - e for w in self.apery[1:])
-        return tuple(sorted(f for f in candidates if all(f + g in self for g in gens)))
+        apery = np.array(self.apery, dtype=np.int64)
+        e = len(apery)
+        candidates = apery[1:] - e
+        sums = candidates[:, None] + np.array(self.generators, dtype=np.int64)
+        # f + g is a member iff it reaches the Apery element of its class
+        pseudo = candidates[(sums >= apery[sums % e]).all(axis=1)]
+        return tuple(sorted(pseudo.tolist()))
 
     @property
     def cm_type(self):
@@ -175,22 +191,29 @@ class NumericalSemigroup:
 
         a_0 = Ap(H, e), and a_(n+1)[i] is the least a_n[i - g mod e] + g
         over the generators g (ord(h) > n iff some h - g has ord >= n).
+        Each row is one array step: gather a_n at the k x e indices
+        (i - g) mod e, add the generators and take the column minima.
         The rows stop at the first r with a_(r+1) = a_r + e; every later
         row is the one before plus e, and r, the reduction number of m,
-        is below e.
+        is below e.  Each column a_0[i] <= a_1[i] <= ... is nondecreasing,
+        since a member of ord > n also has ord >= n.
         """
         e = self.multiplicity
-        gens = self.generators
-        rows = [self.apery_set(e)]
+        gens = np.array(self.generators, dtype=np.int64)[:, None]
+        index = (np.arange(e) - gens) % e
+        rows = [np.array(self.apery_set(e), dtype=np.int64)]
         while True:
             _check_table(e * len(rows), "Apery")
             low = rows[-1]
-            # low[-s:] + low[:-s] puts low[(i - s) % e] at index i
-            sums = [[a + g for a in low[-(g % e):] + low[:-(g % e)]] for g in gens]
-            high = tuple(map(min, zip(*sums)))
-            if all(b == a + e for a, b in zip(low, high)):
-                return tuple(rows)
+            high = (low[index] + gens).min(axis=0)
+            if np.array_equal(high, low + e):
+                return tuple(tuple(row.tolist()) for row in rows)
             rows.append(high)
+
+    @cached_property
+    def _columns(self):
+        # column i of apery_table: a_0[i] <= ... <= a_r[i]
+        return tuple(zip(*self.apery_table))
 
     def ord(self, h):
         """Largest n such that h is a sum of n nonzero members.
@@ -198,13 +221,14 @@ class NumericalSemigroup:
         ord(0) = 0 and ord(generator) = 1.  It counts the rows n >= 1 with
         a_n[h mod e] <= h in ``apery_table`` and past it, where row r + k
         is a_r + k e: past a_r, ord(h) = r + (h - a_r[h mod e]) // e, so
-        ord grows like h / e.
+        ord grows like h / e.  The column of h mod e is nondecreasing, so
+        the rows with a_n[h mod e] <= h are its prefix, found by bisection.
         """
         if h not in self:
             raise NotAMemberError("%r is not a member" % (h,))
         e = self.multiplicity
-        column = [row[h % e] for row in self.apery_table]
-        return sum(a <= h for a in column) - 1 + max(0, h - column[-1]) // e
+        column = self._columns[h % e]
+        return bisect_right(column, h) - 1 + max(0, h - column[-1]) // e
 
     def __eq__(self, other):
         if not isinstance(other, NumericalSemigroup):

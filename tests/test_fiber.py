@@ -483,6 +483,22 @@ def test_prime_free_tables_are_built_once_per_precision(monkeypatch):
         assert calls.count(ring.precision) == want
 
 
+@pytest.mark.parametrize("precision, built", [(None, [40, 50]), (291, [291, 301])])
+def test_verify_builds_one_ring_per_precision(monkeypatch, precision, built):
+    # the floor's width and the sweep's are refused from the quotient
+    # length alone, without a ring at the floor beside the two it checks
+    built_at = []
+    init = FiberProductRing.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built_at.append(self.precision)
+
+    monkeypatch.setattr(FiberProductRing, "__init__", counting)
+    cert = verify_approximation(NumericalSemigroup([3, 4, 5]), 6, precision=precision)
+    assert built_at == built == list(cert.precisions_checked)
+
+
 def test_rejects_gorenstein_base():
     with pytest.raises(GorensteinInputError):
         FiberProductRing(NumericalSemigroup([3, 4]), 6)

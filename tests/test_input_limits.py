@@ -1,7 +1,9 @@
 """Oversized inputs are refused before their tables or matrices exist."""
 
+import json
 import re
 
+import oracle
 import pytest
 
 import teter.fiber
@@ -39,6 +41,25 @@ def test_large_redundant_generators_do_not_size_the_table():
     assert NumericalSemigroup([2, 3, 2000000]).generators == (2, 3)
     assert NumericalSemigroup([3, 4, 5, 400000]).generators == (3, 4, 5)
     assert NumericalSemigroup([2000000, 2, 3, 10**12]).generators == (2, 3)
+
+
+def test_generators_past_int64_stay_python_ints():
+    # 2^63 + 1 and 10^30 are redundant: only the minimal generators, each
+    # at most F + e, reach an int64 array, and every read returns Python
+    # ints, so json.dumps never meets a numpy scalar
+    H = NumericalSemigroup([3, 4, 2**63 + 1, 10**30])
+    assert H.generators == (3, 4)
+    assert list(H.gaps) == oracle.bf_gaps([3, 4])
+    assert list(H.pseudo_frobenius) == oracle.bf_pseudo_frobenius([3, 4])
+    reads = {
+        "generators": H.generators,
+        "gaps": H.gaps,
+        "pseudo_frobenius": H.pseudo_frobenius,
+        "apery_table": [n for row in H.apery_table for n in row],
+    }
+    for values in reads.values():
+        assert all(type(n) is int for n in values)
+    json.dumps(reads)
 
 
 def test_large_inputs_match_closed_forms():

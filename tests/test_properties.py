@@ -118,6 +118,60 @@ def test_ideal_apery_and_membership_match_oracle(gens, ideal_gens):
         assert_ideal_matches(omega.shift(s), elements, lo, hi)
 
 
+@given(
+    gen_lists,
+    st.lists(st.integers(-30, 60), min_size=1, max_size=4),
+    st.integers(-100, 100),
+)
+@example([1], [0, 3], -7)
+@example([1, 5], [2], 0)
+@example([3, 4, 5], [-2, -1], 6)
+@example([3, 4, 5], [-2, -1], -9)
+@example([4, 5, 11], [-7, -6], 12)
+@settings(deadline=None, max_examples=60)
+def test_shift_carries_the_apery_set(gens, ideal_gens, s):
+    # I + s takes I's Apery set along, class i from class i - s of I;
+    # negative s, s = 0 mod e and e = 1 included
+    assume(coprime(gens))
+    H = NumericalSemigroup(gens)
+    e, F = H.multiplicity, H.frobenius
+    I = RelativeIdeal.from_generators(H, ideal_gens)
+    shifted = I.shift(s)
+    fresh = RelativeIdeal(H, tuple(g + s for g in I.generators))
+    assert shifted == fresh
+    assert shifted.apery == fresh.apery
+    lo = min(ideal_gens) + s - e
+    elements = oracle.bf_ideal_set(gens, [g + s for g in ideal_gens], lo, lo + F + 3 * e)
+    assert list(shifted.apery) == oracle.bf_least_per_class(elements, e)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [47, 65, 124],
+        [50, 83, 134],
+        [107, 110, 136],
+        [41, 58, 77, 93],
+        [60, 71, 89, 97, 113],
+    ],
+)
+def test_large_multiplicity_matches_oracle(gens):
+    # e in [40, 160), as in the benchmark's wide inputs: tables of many
+    # rows and wide columns, beyond what the strategies above draw
+    H = NumericalSemigroup(gens)
+    F = H.frobenius
+    assert 40 <= H.multiplicity < 160
+    assert H.apery_table == oracle.bf_apery_table(gens)
+    assert assoc_graded_is_cm(H) == oracle.bf_tangent_cone_cm(gens)
+    assert list(H.pseudo_frobenius) == oracle.bf_pseudo_frobenius(gens)
+    assert list(H.gaps) == oracle.bf_gaps(gens)
+    window = F + 2 * max(gens)
+    ords = oracle.bf_ord_table(gens, window)
+    for h in range(window + 1):
+        if ords[h] >= 0:
+            assert H.ord(h) == ords[h]
+
+
 def proper_ideals(H, picks):
     """The ideal on the picked members (all of m if none is one), and
     every proper omega + (n + f)."""
