@@ -131,8 +131,11 @@ class FiberProductRing:
     as ``prime``.
     """
 
-    def __init__(self, semigroup, shift, precision=None):
-        data = _witness_quotient(semigroup, shift)
+    def __init__(self, semigroup, shift, precision=None, quotient=None):
+        # quotient is _witness_quotient(semigroup, shift) when the caller
+        # holds it already, as verify_approximation does
+        if quotient is None:
+            quotient = _witness_quotient(semigroup, shift)
         # a valid shift is at most max + F (witness_shifts): 2(shift + max) < floor
         floor = default_precision(semigroup)
         if precision is None:
@@ -142,22 +145,22 @@ class FiberProductRing:
                 "precision %d is below the floor %d for this input"
                 % (precision, floor)
             )
-        _check_width(semigroup, data.cyclic_length, floor, precision)
+        _check_width(semigroup, quotient.cyclic_length, floor, precision)
 
         self.semigroup = semigroup
         self.shift = shift
         self.precision = precision
-        self.cyclic_generator = g = data.cyclic_generator
-        self.cyclic_length = data.cyclic_length
+        self.cyclic_generator = g = quotient.cyclic_generator
+        self.cyclic_length = quotient.cyclic_length
 
         self.t_exponents = tuple(semigroup.members_up_to(precision))
-        self.u_exponents = tuple(range(data.cyclic_length, precision + 1))
+        self.u_exponents = tuple(range(quotient.cyclic_length, precision + 1))
         self.width = len(self.t_exponents) + len(self.u_exponents)
         self._t_index = {h: i for i, h in enumerate(self.t_exponents)}
         self._u_index = {
             j: len(self.t_exponents) + i for i, j in enumerate(self.u_exponents)
         }
-        matched = set(data.cobasis)
+        matched = set(quotient.cobasis)
         if not matched <= set(self._t_index):
             raise CrossCheckError("quotient basis escapes the precision window")
         self._values = [
@@ -511,7 +514,8 @@ def verify_approximation(
     step = 2 * max(semigroup.generators)
     # the quotient length sizes both models: the floor's is refused first,
     # then the sweep's larger precision, before any ring is built
-    c = _witness_quotient(semigroup, shift).cyclic_length
+    quotient = _witness_quotient(semigroup, shift)
+    c = quotient.cyclic_length
     floor = default_precision(semigroup)
     _check_width(semigroup, c, floor, floor)
     n0 = floor if precision is None else precision
@@ -520,7 +524,7 @@ def verify_approximation(
 
     runs = []
     for n in (n0, n0 + step):
-        ring = FiberProductRing(semigroup, shift, precision=n)
+        ring = FiberProductRing(semigroup, shift, precision=n, quotient=quotient)
         # e(B) and the Hilbert profile are the same over every field
         e_b = ring.multiplicity()
         # every difference from the stop degree on is e(B); the ring at n0

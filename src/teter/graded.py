@@ -7,6 +7,7 @@ Cohen-Macaulayness of the cone, and socles of the quotients used by the
 strongly-Teter test, finite combinatorial questions.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -24,24 +25,25 @@ def assoc_graded_is_cm(H):
     Algebra 304, 2006): additivity, a class that has left its Apery
     element steps by e at every later row; and the Hilbert function,
     sum_i (a_(n+1)[i] - a_n[i]) / e = #{w in Ap : ord w <= n} for all n.
-    The degrees come off the table's columns, not from ord: a_n[i] is
-    a_0[i] exactly for n <= ord(a_0[i]), and ord(a_0[i]) never passes
-    the last row, so ord(a_0[i]) = #{n : a_n[i] = a_0[i]} - 1.  The
+    Both read the table a column at a time.  A column stays on its Apery
+    element for its leading run of ord(a_0[i]) + 1 rows (ord never
+    passes the last row there), found by one bisection as ``ord`` finds
+    it; additivity compares the rest of the column with one range.  The
     criteria disagree only on an internal error; each call is
     O(e * rows).
     """
     rows = H.apery_table
     e = H.multiplicity
-    columns = list(zip(*rows))
-    additive = all(
-        a == column[0] or b == a + e
-        for column in columns
-        for a, b in zip(column, column[1:])
-    )
+    additive = True
     # counts[d] = #{w in Ap : ord w = d}; its running sums are the right-hand sides
     counts = [0] * len(rows)
-    for column in columns:
-        counts[column.count(column[0]) - 1] += 1
+    for column in zip(*rows):
+        run = bisect_right(column, column[0])
+        counts[run - 1] += 1
+        # past its run the column must climb from rest[0] by e a row
+        rest = column[run:]
+        if len(rest) > 1 and rest != tuple(range(rest[0], rest[-1] + 1, e)):
+            additive = False
     hilbert = all(
         (sum(high) - sum(low)) // e == at_most
         for low, high, at_most in zip(rows, rows[1:], accumulate(counts))

@@ -66,9 +66,7 @@ class RelativeIdeal:
         set comes along in O(e), without a pass over the generators.
         """
         shifted = RelativeIdeal(self.ambient, tuple(g + s for g in self.generators))
-        apery = self.apery
-        k = len(apery) - s % len(apery)
-        vars(shifted)["apery"] = tuple(a + s for a in apery[k:] + apery[:k])
+        vars(shifted)["apery"] = shifted_apery(self.apery, s)
         return shifted
 
     def is_proper_ideal(self):
@@ -77,15 +75,29 @@ class RelativeIdeal:
         return all(g > 0 and g in self.ambient for g in self.generators)
 
 
+def shifted_apery(apery, s):
+    """Apery tuple of I + s from the Apery tuple of I: class i of I + s
+    is class i - s of I moved up by s."""
+    k = len(apery) - s % len(apery)
+    return tuple(a + s for a in apery[k:] + apery[:k])
+
+
 def canonical_ideal(H):
     """The relative ideal {z : -z not in H}, minimally generated by the
     negated pseudo-Frobenius numbers (every gap g lies in f - H for one
     of them, and no f' - f is a member), so the generator count is the
     Cohen-Macaulay type; principal iff Gorenstein.
+
+    Its Apery set comes from H's in O(e): z = i mod e is in it iff -z is
+    below Ap[-i mod e], so its least element of class i is e - Ap[-i mod e].
     """
     if H.frobenius < 0:
         raise FullSemigroupError("the full semigroup has no gaps")
-    return RelativeIdeal.from_generators(H, [-f for f in H.pseudo_frobenius])
+    omega = RelativeIdeal.from_generators(H, [-f for f in H.pseudo_frobenius])
+    ap = H.apery
+    e = len(ap)
+    vars(omega)["apery"] = tuple(e - ap[-i % e] for i in range(e))
+    return omega
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ member in each residue class mod e, found by shortest paths over the
 residues (Nijenhuis, "A minimal-path algorithm for the money changing
 problem", 1979).  Membership is n >= Ap[n mod e], the Frobenius number
 is max Ap - e, and the gaps (class i holds i, i + e, ... below Ap[i])
-and minimal generators are read off it.
+are read off it.  The minimal generators come out of the same search:
+they are e and the nonzero Apery elements that the search never reaches
+from another nonzero one.
 
 Its extension to the powers of m, ``apery_table``, is built a row at a
 time on whole arrays: one gather over the generators and a minimum.
@@ -68,9 +70,12 @@ class NumericalSemigroup:
 
         e = gens[0]
         # Dijkstra over the residues mod e: each residue is settled once
-        # and pushes at most one heap entry per generator
+        # and pushes at most one heap entry per generator.  reached[r]
+        # records whether Ap[r] is d + g for some nonzero Apery element d:
+        # a strict improvement sets it to d > 0, a tie from d > 0 to true.
         _check_table(e * len(gens), "shortest-path")
-        apery = [0] + [None] * (e - 1)
+        apery = [0] + [math.inf] * (e - 1)
+        reached = [False] * e
         heap = [(0, 0)]
         while heap:
             d, r = heapq.heappop(heap)
@@ -78,9 +83,12 @@ class NumericalSemigroup:
                 continue
             for g in gens[1:]:
                 nd, nr = d + g, (r + g) % e
-                if apery[nr] is None or nd < apery[nr]:
+                if nd < apery[nr]:
                     apery[nr] = nd
+                    reached[nr] = d > 0
                     heapq.heappush(heap, (nd, nr))
+                elif nd == apery[nr] and d > 0:
+                    reached[nr] = True
 
         self.frobenius = max(apery) - e
         _check_table(self.frobenius + 1, "gap")
@@ -90,12 +98,12 @@ class NumericalSemigroup:
             sorted(chain.from_iterable(range(i, w, e) for i, w in enumerate(apery)))
         )
 
-        # Every minimal generator but e is a nonzero Apery element, and
-        # a member is not minimal iff it is some input generator plus a
-        # nonzero member.
-        minimal = [e] + sorted(
-            w for w in apery[1:] if not any(w > g and w - g in self for g in gens)
-        )
+        # Every minimal generator but e is a nonzero Apery element w, and
+        # w is not minimal iff w - g is a nonzero member for an input
+        # generator g != e.  Then w - g is an Apery element too (else
+        # w - e would be a member), popped before w and relaxed by g: so
+        # exactly the unreached w are minimal.
+        minimal = [e] + sorted(w for w, hit in zip(apery[1:], reached[1:]) if not hit)
         self.generators = tuple(minimal)
 
     @property
@@ -206,7 +214,7 @@ class NumericalSemigroup:
             _check_table(e * len(rows), "Apery")
             low = rows[-1]
             high = (low[index] + gens).min(axis=0)
-            if np.array_equal(high, low + e):
+            if ((high - low) == e).all():
                 return tuple(tuple(row.tolist()) for row in rows)
             rows.append(high)
 

@@ -66,34 +66,39 @@ def test_wider_window_finds_nothing_new():
 
 
 def test_quotient_data_runs_once_per_certifying_shift(monkeypatch):
-    # a shift leaving two minimal generators outside J cannot certify and
-    # is skipped before quotient_data, so a wide window stays cheap
-    calls = []
+    # every candidate is tested on its rotated Apery tuple; only a shift
+    # that certifies is built as an ideal and handed to quotient_data, and
+    # only the edim * type candidates n + f are tried, not every shift in
+    # [F, F + max]
+    calls, built, tried = [], [], []
     quotient_data = classify.quotient_data
+    shift = RelativeIdeal.shift
+    shifted_apery = classify.shifted_apery
 
     def counting_quotient_data(H, J):
         calls.append(J)
         return quotient_data(H, J)
 
-    monkeypatch.setattr(classify, "quotient_data", counting_quotient_data)
-    found = witness_shifts(NumericalSemigroup([4, 5, 6, 7]))
-    assert [J for _, J, _ in found] == calls and len(calls) == 2
-    calls.clear()
-
-    # only the edim * type candidates n + f are tried, not every shift
-    # in [F, F + max]
-    shifts = []
-    shift = RelativeIdeal.shift
-
     def counting_shift(self, s):
-        shifts.append(s)
+        built.append(s)
         return shift(self, s)
 
+    def counting_shifted_apery(apery, s):
+        tried.append(s)
+        return shifted_apery(apery, s)
+
+    monkeypatch.setattr(classify, "quotient_data", counting_quotient_data)
     monkeypatch.setattr(RelativeIdeal, "shift", counting_shift)
-    H = NumericalSemigroup([107, 110, 136])
-    assert witness_shifts(H) == []
-    assert calls == []
-    assert 0 < len(shifts) <= H.embedding_dimension * H.cm_type == 6
+    monkeypatch.setattr(classify, "shifted_apery", counting_shifted_apery)
+    for gens, certified in (([4, 5, 6, 7], [7, 8]), ([107, 110, 136], [])):
+        del calls[:], built[:], tried[:]
+        H = NumericalSemigroup(gens)
+        found = witness_shifts(H)
+        assert [s for s, _, _ in found] == built == certified
+        assert [J for _, J, _ in found] == calls
+        assert len(set(tried)) == len(tried) <= H.embedding_dimension * H.cm_type
+        assert set(certified) <= set(tried)
+    assert len(tried) == 6
 
 
 def test_no_witness_means_none():

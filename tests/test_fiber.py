@@ -499,6 +499,27 @@ def test_verify_builds_one_ring_per_precision(monkeypatch, precision, built):
     assert built_at == built == list(cert.precisions_checked)
 
 
+def test_verify_reads_the_witness_quotient_once(monkeypatch):
+    # verify_approximation hands the quotient it checked to both rings;
+    # a ring built directly still checks its own
+    calls = []
+    quotient_data = teter.fiber.quotient_data
+
+    def counting(H, J):
+        calls.append(J.generators)
+        return quotient_data(H, J)
+
+    monkeypatch.setattr(teter.fiber, "quotient_data", counting)
+    H = NumericalSemigroup([3, 4, 5])
+    verify_approximation(H, 6)
+    assert len(calls) == 1
+    calls.clear()
+    FiberProductRing(H, 6)
+    assert len(calls) == 1
+    with pytest.raises(NoWitnessError):
+        FiberProductRing(H, 4)
+
+
 def test_rejects_gorenstein_base():
     with pytest.raises(GorensteinInputError):
         FiberProductRing(NumericalSemigroup([3, 4]), 6)

@@ -70,6 +70,42 @@ def test_scan_disagreement_raises():
             assoc_graded_is_cm(H)
 
 
+@pytest.mark.parametrize(
+    "gens, column",
+    [
+        ([3, 4], (0, 3, 9)),
+        ([5, 7, 9], (0, 5, 15)),
+        ([6, 9, 20], (0, 6, 18, 24)),
+        # a step of 0 and then 2e rises as far as two steps of e
+        ([6, 9, 20], (0, 6, 6, 18)),
+    ],
+)
+def test_corrupt_step_after_the_apery_element_is_not_additive(gens, column):
+    # class 0 leaves its Apery element 0 at row 1 and then steps by e;
+    # corrupted to step by 2e after that, it fails additivity, and the
+    # Hilbert function at degree 1 with it, so the answer is no
+    H = NumericalSemigroup(gens)
+    assert assoc_graded_is_cm(H)
+    rows = H.apery_table
+    assert len(rows) == len(column)
+    vars(H)["apery_table"] = tuple((a,) + row[1:] for a, row in zip(column, rows))
+    assert assoc_graded_is_cm(H) is False
+
+
+def test_leading_run_ends_where_the_column_first_leaves():
+    # a corrupt last row puts class 0 back on its Apery element: (0, e, 0).
+    # The leading run is 1 (ord(0) = 0, as ord bisects it), and the rest
+    # (e, 0) is not additive; the Hilbert function fails at degree 1 too.
+    # Counting the 0s would give a run of 2, an additive rest and a
+    # Hilbert function off at degree 0, and raise instead
+    for gens in ([5, 7, 9], [3, 4], [4, 6, 9]):
+        H = NumericalSemigroup(gens)
+        assert assoc_graded_is_cm(H)
+        first, second, third = H.apery_table
+        vars(H)["apery_table"] = (first, second, (0,) + third[1:])
+        assert assoc_graded_is_cm(H) is False
+
+
 def test_cone_test_reads_ord_without_a_call_per_member(monkeypatch):
     # both criteria read the degrees of the Apery elements off the
     # table's columns, so the cone test never calls ord

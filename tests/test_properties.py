@@ -16,6 +16,8 @@ from teter import (
     canonical_ideal,
     quotient_data,
 )
+from teter.classify import _proper_mu
+from teter.ideals import shifted_apery
 from teter.modp import RowSpace
 
 gen_lists = st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4)
@@ -41,6 +43,16 @@ def test_gap_data_matches_oracle(gens):
 
 
 @given(gen_lists)
+# non-minimal input generators.  In the first four the search sets the
+# Apery element 10 = 5 + 5, 8 = 4 + 4, 13 = 6 + 7 or 14 = 7 + 7 from 0
+# first and reaches it from a nonzero one only at a tie; the other
+# non-minimal inputs (10, 12; 9; 6, 7, 8) are no Apery elements at all
+@example([4, 5, 10])
+@example([3, 4, 8])
+@example([5, 6, 7, 13])
+@example([5, 7, 10, 12, 14])
+@example([4, 5, 9])
+@example([3, 4, 5, 6, 7, 8])
 @settings(deadline=None, max_examples=60)
 def test_minimal_generators_match_oracle(gens):
     assume(coprime(gens))
@@ -79,6 +91,8 @@ def test_canonical_generators_match_oracle(gens):
     H = NumericalSemigroup(gens)
     omega = canonical_ideal(H)
     assert list(omega.generators) == oracle.bf_canonical_generators(gens)
+    # the Apery set read off H's is the one its generators give
+    assert omega.apery == RelativeIdeal(H, omega.generators).apery
     # normalized so the smallest element is -F
     assert omega.generators[0] == -H.frobenius
     assert all(g < 0 for g in omega.generators)
@@ -143,6 +157,31 @@ def test_shift_carries_the_apery_set(gens, ideal_gens, s):
     lo = min(ideal_gens) + s - e
     elements = oracle.bf_ideal_set(gens, [g + s for g in ideal_gens], lo, lo + F + 3 * e)
     assert list(shifted.apery) == oracle.bf_least_per_class(elements, e)
+
+
+@given(gen_lists, st.integers(-100, 100))
+@example([3, 4, 5], 6)
+@example([4, 5, 6, 7], 12)
+@example([3, 4, 5], -4)
+@example([2, 5], 8)
+@example([2, 5], -2)
+@example([2, 5], 3)
+@example([3, 4], 5)
+@settings(deadline=None, max_examples=60)
+def test_apery_tuple_tests_match_the_shifted_ideal(gens, s):
+    # witness_shifts decides "proper" and mu on omega's Apery tuple rotated
+    # by s; both agree with the ideal itself, whose Apery set is recomputed
+    # from its generators; s = 0 mod e, s < 0, e = 2 and J = H included
+    assume(coprime(gens))
+    H = NumericalSemigroup(gens)
+    assume(H.frobenius >= 0)
+    omega = canonical_ideal(H)
+    J = RelativeIdeal(H, tuple(g + s for g in omega.generators))
+    assert J == omega.shift(s)
+    mu = _proper_mu(H, shifted_apery(omega.apery, s))
+    assert (mu is not None) == J.is_proper_ideal()
+    if mu is not None:
+        assert mu == quotient_data(H, J).mu
 
 
 @pytest.mark.parametrize(
