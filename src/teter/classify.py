@@ -14,11 +14,16 @@ strongly-Teter subverdict are both read off that scan.
 """
 
 from dataclasses import dataclass
-from operator import lt
 
 from .errors import CrossCheckError, GorensteinInputError
 from .graded import assoc_graded_is_cm, build_graded_model, socle_dim_mod_xstar
-from .ideals import canonical_ideal, quotient_data, shifted_apery
+from .ideals import (
+    apery_is_proper,
+    canonical_ideal,
+    generators_outside,
+    quotient_data,
+    shifted_apery,
+)
 from .semigroup import NumericalSemigroup
 
 VERDICT_GORENSTEIN = "Gorenstein"
@@ -41,19 +46,6 @@ def type_condition(H):
     return H.cm_type == H.embedding_dimension - 1
 
 
-def _proper_mu(H, apery):
-    """mu of A/J read off J's Apery tuple, or None unless J is proper.
-
-    J lies in H iff each of its classes starts at or above H's, and it
-    misses 0 iff its class 0 starts above 0; a minimal generator n is
-    outside J iff it is below the start of its class in J.
-    """
-    if apery[0] <= 0 or any(map(lt, apery, H.apery)):
-        return None
-    e = len(apery)
-    return sum(n < apery[n % e] for n in H.generators)
-
-
 def witness_shifts(H):
     """All shifts s with J = omega + s a proper ideal and A/J a
     hypersurface, in increasing order.
@@ -64,20 +56,25 @@ def witness_shifts(H):
     a minimal generator n, say n = (s - f) + h with s - f a generator
     of J and h in H; h = 0 because n is no sum of two nonzero members.
     Each candidate is tested on J's Apery tuple, omega's rotated by s as
-    ``RelativeIdeal.shift`` rotates it; only the shifts that certify are
-    built as ideals.  Returns (shift, ideal, quotient data) triples.
+    ``RelativeIdeal.shift`` rotates it, by the same tests that
+    ``is_proper_ideal`` and ``quotient_data`` make; only the shifts that
+    certify are built as ideals, on the tuple already rotated.  Returns
+    (shift, ideal, quotient data) triples.
     """
     if H.is_gorenstein:
         raise GorensteinInputError("%r is Gorenstein" % (H,))
     omega = canonical_ideal(H)
     found = []
     for s in sorted({n + f for n in H.generators for f in H.pseudo_frobenius}):
+        apery = shifted_apery(omega.apery, s)
         # A/J is a hypersurface iff at most one minimal generator lies
         # outside J (quotient_data's mu)
-        mu = _proper_mu(H, shifted_apery(omega.apery, s))
-        if mu is None or mu > 1:
+        if (
+            not apery_is_proper(H, apery)
+            or len(generators_outside(H, apery)) > 1
+        ):
             continue
-        J = omega.shift(s)
+        J = omega._translate(s, apery)
         found.append((s, J, quotient_data(H, J)))
     return found
 

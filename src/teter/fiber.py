@@ -131,9 +131,11 @@ class FiberProductRing:
     as ``prime``.
     """
 
-    def __init__(self, semigroup, shift, precision=None, quotient=None):
-        # quotient is _witness_quotient(semigroup, shift) when the caller
-        # holds it already, as verify_approximation does
+    def __init__(self, semigroup, shift, precision=None, *, _quotient=None):
+        # _quotient is for this module only: verify_approximation passes
+        # the _witness_quotient(semigroup, shift) it has already checked;
+        # every other caller gets the checks here
+        quotient = _quotient
         if quotient is None:
             quotient = _witness_quotient(semigroup, shift)
         # a valid shift is at most max + F (witness_shifts): 2(shift + max) < floor
@@ -524,7 +526,7 @@ def verify_approximation(
 
     runs = []
     for n in (n0, n0 + step):
-        ring = FiberProductRing(semigroup, shift, precision=n, quotient=quotient)
+        ring = FiberProductRing(semigroup, shift, precision=n, _quotient=quotient)
         # e(B) and the Hilbert profile are the same over every field
         e_b = ring.multiplicity()
         # every difference from the stop degree on is e(B); the ring at n0

@@ -80,14 +80,6 @@ def build_graded_model(H, J, cone_cm=None):
     verdict is already settled).  ``cone_cm`` is the verdict of
     ``assoc_graded_is_cm(H)`` when the caller holds it already.
     """
-    if not J.is_proper_ideal():
-        raise ImproperIdealError("%r is not a proper ideal" % (J.generators,))
-    if cone_cm is None:
-        cone_cm = assoc_graded_is_cm(H)
-    if not cone_cm:
-        raise TangentConeNotCMError(
-            "tangent cone of %r is not Cohen-Macaulay" % (H,)
-        )
     e = H.multiplicity
     for i, j in enumerate(J.apery):
         # re-check on J's generators: j is in J, j - e is not, j = i mod e
@@ -97,6 +89,16 @@ def build_graded_model(H, J, cone_cm=None):
             raise CrossCheckError(
                 "%d is not the least element of %r in its class" % (j, J.generators)
             )
+    # is_proper_ideal reads the Apery set just re-checked
+    if not J.is_proper_ideal():
+        raise ImproperIdealError("%r is not a proper ideal" % (J.generators,))
+    if cone_cm is None:
+        cone_cm = assoc_graded_is_cm(H)
+    if not cone_cm:
+        raise TangentConeNotCMError(
+            "tangent cone of %r is not Cohen-Macaulay" % (H,)
+        )
+    for j in J.apery:
         # CM of the cone gives ord(j + e) = ord(j) + 1 for every member,
         # j included; re-check on the basis to guard the transcription.
         if H.ord(j + e) != H.ord(j) + 1:

@@ -13,6 +13,7 @@ residue class mod e (Rosales and Garcia-Sanchez, Numerical Semigroups,
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import lt
 
 from .errors import (
     CrossCheckError,
@@ -65,14 +66,19 @@ class RelativeIdeal:
         Class i of I + s is class i - s of I moved up by s, so the Apery
         set comes along in O(e), without a pass over the generators.
         """
+        return self._translate(s, shifted_apery(self.apery, s))
+
+    def _translate(self, s, apery):
+        # I + s with its Apery set given: apery must be
+        # shifted_apery(self.apery, s), as a caller that tested the
+        # rotated tuple before building the ideal already holds it
         shifted = RelativeIdeal(self.ambient, tuple(g + s for g in self.generators))
-        vars(shifted)["apery"] = shifted_apery(self.apery, s)
+        vars(shifted)["apery"] = apery
         return shifted
 
     def is_proper_ideal(self):
-        """True iff I sits inside the maximal ideal: generators are
-        positive members, so I is an ideal of the ring and 0 is not in it."""
-        return all(g > 0 and g in self.ambient for g in self.generators)
+        """True iff I sits inside the maximal ideal; see ``apery_is_proper``."""
+        return apery_is_proper(self.ambient, self.apery)
 
 
 def shifted_apery(apery, s):
@@ -80,6 +86,23 @@ def shifted_apery(apery, s):
     is class i - s of I moved up by s."""
     k = len(apery) - s % len(apery)
     return tuple(a + s for a in apery[k:] + apery[:k])
+
+
+def apery_is_proper(H, apery):
+    """True iff the relative ideal I with Apery tuple ``apery`` is a
+    proper ideal of H.
+
+    I lies in H iff each of its classes starts at or above H's, and it
+    misses 0 iff its class 0 starts above 0.
+    """
+    return apery[0] > 0 and not any(map(lt, apery, H.apery))
+
+
+def generators_outside(H, apery):
+    """The minimal generators of H outside the relative ideal with Apery
+    tuple ``apery``: those below the start of their class in it."""
+    e = len(apery)
+    return [n for n in H.generators if n < apery[n % e]]
 
 
 def canonical_ideal(H):
@@ -130,7 +153,8 @@ def quotient_data(H, I):
     e = H.multiplicity
     classes = (range(w, v, e) for w, v in zip(H.apery, I.apery))
     cobasis = tuple(sorted(chain.from_iterable(classes)))
-    mu = sum(1 for n in H.generators if n not in I)
+    outside = generators_outside(H, I.apery)
+    mu = len(outside)
 
     if mu == 0:
         # every generator is in I, so I contains all of m
@@ -138,7 +162,7 @@ def quotient_data(H, I):
             raise CrossCheckError("mu = 0 but A/I is not the residue field")
         return QuotientData(cobasis, 0, None, 1)
     if mu == 1:
-        g = next(n for n in H.generators if n not in I)
+        g = outside[0]
         c = len(cobasis)
         # the maximal ideal of A/I is principal on the image of t^g, so
         # the cobasis must be the geometric ladder 0, g, ..., (c-1)g

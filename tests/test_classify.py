@@ -11,7 +11,7 @@ from teter import (
     type_condition,
     witness_shifts,
 )
-from teter import classify
+from teter import classify, ideals
 
 
 def test_type_condition():
@@ -72,24 +72,33 @@ def test_quotient_data_runs_once_per_certifying_shift(monkeypatch):
     # [F, F + max]
     calls, built, tried = [], [], []
     quotient_data = classify.quotient_data
-    shift = RelativeIdeal.shift
+    translate = RelativeIdeal._translate
     shifted_apery = classify.shifted_apery
 
     def counting_quotient_data(H, J):
         calls.append(J)
         return quotient_data(H, J)
 
-    def counting_shift(self, s):
+    def counting_translate(self, s, apery):
+        # every shifted ideal is built here, by shift or on a rotated tuple
         built.append(s)
-        return shift(self, s)
+        return translate(self, s, apery)
 
     def counting_shifted_apery(apery, s):
         tried.append(s)
         return shifted_apery(apery, s)
 
     monkeypatch.setattr(classify, "quotient_data", counting_quotient_data)
-    monkeypatch.setattr(RelativeIdeal, "shift", counting_shift)
+    monkeypatch.setattr(RelativeIdeal, "_translate", counting_translate)
     monkeypatch.setattr(classify, "shifted_apery", counting_shifted_apery)
+    # a certifying shift's ideal reuses the tuple the scan rotated
+    rerotated = []
+
+    def counting_rotation(apery, s):
+        rerotated.append(s)
+        return shifted_apery(apery, s)
+
+    monkeypatch.setattr(ideals, "shifted_apery", counting_rotation)
     for gens, certified in (([4, 5, 6, 7], [7, 8]), ([107, 110, 136], [])):
         del calls[:], built[:], tried[:]
         H = NumericalSemigroup(gens)
@@ -99,6 +108,7 @@ def test_quotient_data_runs_once_per_certifying_shift(monkeypatch):
         assert len(set(tried)) == len(tried) <= H.embedding_dimension * H.cm_type
         assert set(certified) <= set(tried)
     assert len(tried) == 6
+    assert rerotated == []
 
 
 def test_no_witness_means_none():

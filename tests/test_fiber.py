@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 
@@ -501,7 +502,8 @@ def test_verify_builds_one_ring_per_precision(monkeypatch, precision, built):
 
 def test_verify_reads_the_witness_quotient_once(monkeypatch):
     # verify_approximation hands the quotient it checked to both rings;
-    # a ring built directly still checks its own
+    # a ring built directly still checks its own, and takes no quotient
+    # from its caller
     calls = []
     quotient_data = teter.fiber.quotient_data
 
@@ -518,6 +520,17 @@ def test_verify_reads_the_witness_quotient_once(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(NoWitnessError):
         FiberProductRing(H, 4)
+    public = inspect.signature(FiberProductRing).parameters
+    assert [p for p in public if not p.startswith("_")] == [
+        "semigroup",
+        "shift",
+        "precision",
+    ]
+    data = teter.fiber._witness_quotient(H, 6)
+    with pytest.raises(TypeError):
+        FiberProductRing(H, 4, 40, data)
+    with pytest.raises(TypeError):
+        FiberProductRing(H, 4, quotient=data)
 
 
 def test_rejects_gorenstein_base():

@@ -16,8 +16,7 @@ from teter import (
     canonical_ideal,
     quotient_data,
 )
-from teter.classify import _proper_mu
-from teter.ideals import shifted_apery
+from teter.ideals import apery_is_proper, generators_outside, shifted_apery
 from teter.modp import RowSpace
 
 gen_lists = st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4)
@@ -171,17 +170,28 @@ def test_shift_carries_the_apery_set(gens, ideal_gens, s):
 def test_apery_tuple_tests_match_the_shifted_ideal(gens, s):
     # witness_shifts decides "proper" and mu on omega's Apery tuple rotated
     # by s; both agree with the ideal itself, whose Apery set is recomputed
-    # from its generators; s = 0 mod e, s < 0, e = 2 and J = H included
+    # from its generators, and with membership by brute force;
+    # s = 0 mod e, s < 0, e = 2 and J = H included
     assume(coprime(gens))
     H = NumericalSemigroup(gens)
     assume(H.frobenius >= 0)
     omega = canonical_ideal(H)
     J = RelativeIdeal(H, tuple(g + s for g in omega.generators))
     assert J == omega.shift(s)
-    mu = _proper_mu(H, shifted_apery(omega.apery, s))
-    assert (mu is not None) == J.is_proper_ideal()
-    if mu is not None:
-        assert mu == quotient_data(H, J).mu
+    apery = shifted_apery(omega.apery, s)
+    proper = apery_is_proper(H, apery)
+    assert proper == J.is_proper_ideal()
+    assert proper == all(
+        g > 0 and oracle.bf_membership(gens, g) for g in J.generators
+    )
+    if proper:
+        outside = [
+            n
+            for n in H.generators
+            if not any(oracle.bf_membership(gens, n - g) for g in J.generators)
+        ]
+        assert generators_outside(H, apery) == outside
+        assert len(outside) == quotient_data(H, J).mu
 
 
 @pytest.mark.parametrize(
