@@ -48,7 +48,7 @@ def type_condition(H):
 
 def witness_shifts(H):
     """All shifts s with J = omega + s a proper ideal and A/J a
-    hypersurface, in increasing order.
+    hypersurface k[u]/(u^c), c >= 2, in increasing order.
 
     Only the at most edim * type shifts s = n + f, n a minimal
     generator and f a pseudo-Frobenius number, can qualify.  A
@@ -67,11 +67,11 @@ def witness_shifts(H):
     found = []
     for s in sorted({n + f for n in H.generators for f in H.pseudo_frobenius}):
         apery = shifted_apery(omega.apery, s)
-        # A/J is a hypersurface iff at most one minimal generator lies
-        # outside J (quotient_data's mu)
+        # A/J is cyclic iff exactly one minimal generator lies outside J
+        # (quotient_data's mu, which FiberProductRing also requires)
         if (
             not apery_is_proper(H, apery)
-            or len(generators_outside(H, apery)) > 1
+            or len(generators_outside(H, apery)) != 1
         ):
             continue
         J = omega._translate(s, apery)

@@ -11,10 +11,10 @@ c >= 2: shifts keep I - I and omega - omega = H, but F is in M - M, so
 J is never M.
 
 B has a monomial-like k-basis, each element stored as its exponent pair,
-its values on the branches k[[t]] and k[[u]] (None for a zero side):
+its values on the branches k[[t]] and k[[u]] (-1 for a zero side):
 b_h = (t^h, u^(h/g)), pair (h, h/g), for h = 0, g, ..., (c-1)g; b_h =
-(t^h, 0), pair (h, None), for the other members h; z_j = (0, u^j), pair
-(None, j), for j >= c.  A product adds the pairs side by side: it is the
+(t^h, 0), pair (h, -1), for the other members h; z_j = (0, u^j), pair
+(-1, j), for j >= c.  A product adds the pairs side by side: it is the
 member of exponent a + b plus the tail of exponent v + w >= c (when
 v + w < c, the member a + b = (v + w)g carries that u-part), so the
 whole ring is combinatorial.  The model keeps every exponent up to a
@@ -70,10 +70,11 @@ from .modp import (
 
 # Widest model a FiberProductRing builds.  The product tables, the
 # union-find of each power and the sparse rank check all grow linearly
-# with the width, and the Python loop that fills the product tables
-# dominates (widths 579 and 599, `analyze 3,4,5 --approximate --precision
-# 291`: 0.02 s in verify_approximation, 31 MB peak for the whole command
-# on a 2-core x86-64 VM).
+# with the width, and the Python loops of the last two dominate (widths
+# 579 and 599, `analyze 3,4,5 --approximate --precision 291`: 0.02 s in
+# verify_approximation, 0.01 s once warm, about 70% of it in the
+# union-find and the rank check under cProfile; 31 MB peak for the whole
+# command on a 2-core x86-64 VM).
 MAX_WIDTH = 600
 
 
@@ -82,6 +83,12 @@ def default_precision(semigroup):
     return 4 * (
         semigroup.frobenius + semigroup.multiplicity + max(semigroup.generators)
     )
+
+
+def _certified_degree(semigroup, precision):
+    # the largest degree k with (k + 1) * max(generators) <= N: every
+    # basis element past N lies in m^(k+1), so l(B/m^(k+1)) is exact
+    return precision // max(semigroup.generators) - 1
 
 
 def _check_width(semigroup, cyclic_length, floor, precision, sweep=0):
@@ -125,10 +132,10 @@ class FiberProductRing:
 
     Vectors of length ``width`` are coordinates in the basis
     b_(h_0), b_(h_1), ... (members of H up to N, ascending) followed by
-    z_c, z_(c+1), ..., z_N; ``_values`` holds their exponent pairs.
-    Multiplication by a fixed element is a width x width matrix acting
-    on row vectors.  The methods that read B/yB modulo a prime take it
-    as ``prime``.
+    z_c, z_(c+1), ..., z_N; the arrays ``_t`` and ``_u`` hold their
+    exponent pairs.  Multiplication by a fixed element is a width x width
+    matrix acting on row vectors.  The methods that read B/yB modulo a
+    prime take it as ``prime``.
     """
 
     def __init__(self, semigroup, shift, precision=None, *, _quotient=None):
@@ -157,86 +164,82 @@ class FiberProductRing:
 
         self.t_exponents = tuple(semigroup.members_up_to(precision))
         self.u_exponents = tuple(range(quotient.cyclic_length, precision + 1))
-        self.width = len(self.t_exponents) + len(self.u_exponents)
-        self._t_index = {h: i for i, h in enumerate(self.t_exponents)}
-        self._u_index = {
-            j: len(self.t_exponents) + i for i, j in enumerate(self.u_exponents)
-        }
-        matched = set(quotient.cobasis)
-        if not matched <= set(self._t_index):
+        nt, tails = len(self.t_exponents), len(self.u_exponents)
+        self.width = nt + tails
+        # the exponent pairs of the basis, -1 for a zero side, and the
+        # index of each member up to N (-1 for a gap); the tail z_j is at
+        # index nt + j - c
+        cobasis = np.array(quotient.cobasis, dtype=np.int64)
+        if not np.isin(cobasis, self.t_exponents).all():
             raise CrossCheckError("quotient basis escapes the precision window")
-        self._values = [
-            (h, h // g if h in matched else None) for h in self.t_exponents
-        ] + [(None, j) for j in self.u_exponents]
+        self._t = np.array(self.t_exponents + (-1,) * tails, dtype=np.int64)
+        self._u = np.array((-1,) * nt + self.u_exponents, dtype=np.int64)
+        self._index = np.full(precision + 1, -1, dtype=np.int64)
+        self._index[self._t[:nt]] = np.arange(nt)
+        self._u[self._index[cobasis]] = cobasis // g
 
-        self._product_tables = {}
+        self._tables = {}
         self._powers = []
         self._products = []
         self._rows = None
         self._actions = {}
-        self._multiplicity = self._stop_degree = None
+        self.hilbert_differences = None
 
     # -- basis combinatorics ------------------------------------------------
 
     def basis_product(self, i, j):
-        """Indices of basis[i] * basis[j]; every coefficient is 1.
-
-        The exponent pairs add side by side: the member of t-exponent
-        a + b and the tail of u-exponent v + w >= c, where both exist.
-        """
-        (a, v), (b, w) = self._values[i], self._values[j]
-        out = []
-        if a is not None and b is not None and a + b <= self.precision:
-            out.append(self._t_index[a + b])
-        if v is not None and w is not None:
-            if self.cyclic_length <= v + w <= self.precision:
-                out.append(self._u_index[v + w])
-        return out
+        """Indices of basis[i] * basis[j], every coefficient 1: row j of
+        basis[i]'s product table, without its -1s."""
+        return [int(x) for x in self._table(i)[j] if x >= 0]
 
     def _product_table(self, i):
         # row j: the t-index and the u-index of basis[i] * basis[j], -1
         # where there is none.  A last row of -1s lets -1 index "none".
-        # A pure tail is (0, u^j), so its products have no t-index.
-        table = self._product_tables.get(i)
-        if table is None:
-            nt = len(self.t_exponents)
-            table = np.full((self.width + 1, 2), -1, dtype=np.int64)
-            for j in range(self.width):
-                w = self.basis_product(i, j)
-                if len(w) > 2 or len(w) == 2 and not w[0] < nt <= w[1]:
-                    raise CrossCheckError("product %r is not a bimonomial" % (w,))
-                if w and w[0] < nt and (i >= nt or j >= nt):
-                    raise CrossCheckError(
-                        "product %r of a pure tail is not a bimonomial in u" % (w,)
-                    )
-                for x in w:
-                    table[j, int(x >= nt)] = x
-            self._product_tables[i] = table
+        # The exponent pairs add side by side: the member a + b and the
+        # tail v + w in [c, N], where both exist.
+        t, u, n, c = self._t, self._u, self.precision, self.cyclic_length
+        table = np.full((self.width + 1, 2), -1, dtype=np.int64)
+        a, v = t[i] + t, u[i] + u
+        rows = np.flatnonzero((t[i] >= 0) & (t >= 0) & (a <= n))
+        table[rows, 0] = self._index[a[rows]]
+        if (table[rows, 0] < 0).any():
+            raise CrossCheckError("a sum of two members is not a member")
+        rows = np.flatnonzero((u[i] >= 0) & (u >= 0) & (c <= v) & (v <= n))
+        table[rows, 1] = len(self.t_exponents) + v[rows] - c
         return table
 
-    def _dense(self, pairs):
-        # 0/1 matrix whose rows are the (t-index, u-index) pairs
-        mat = np.zeros((len(pairs), self.width + 1), dtype=np.int64)
-        rows = np.arange(len(pairs))
-        mat[rows, pairs[:, 0]] = 1
-        mat[rows, pairs[:, 1]] = 1
-        return np.ascontiguousarray(mat[:, :-1])
+    def _table(self, i):
+        # basis[i]'s product table, built once per ring and checked: the
+        # t column holds only t-indices, the u column only u-indices, and
+        # a product with a pure tail (0, u^j) has no t-index
+        table = self._tables.get(i)
+        if table is None:
+            nt, table = len(self.t_exponents), self._product_table(i)
+            t_col, u_col = table[:-1].T
+            if (t_col >= nt).any() or ((0 <= u_col) & (u_col < nt)).any():
+                raise CrossCheckError("a product of basis[%d] is not a bimonomial" % i)
+            if ((t_col >= 0) & ((self._t < 0) | (self._t[i] < 0))).any():
+                raise CrossCheckError("a product with a pure tail has a t-index")
+            self._tables[i] = table
+        return table
 
     def mult_matrix(self, vec):
         """Multiplication by the element with integer coordinate row vec.
 
         The integer matrix, unreduced: reduce it modulo p to act over F_p.
+        Each term scatters the two columns of its product table.
         """
-        out = np.zeros((self.width, self.width), dtype=np.int64)
-        for i in np.nonzero(np.asarray(vec))[0]:
-            out += int(vec[i]) * self._dense(self._product_table(int(i))[:-1])
-        return out
+        w = self.width
+        out = np.zeros((w, w + 1), dtype=np.int64)
+        for i in np.flatnonzero(vec):
+            out[np.arange(w)[:, None], self._table(i)[:-1]] += int(vec[i])
+        return np.ascontiguousarray(out[:, :-1])
 
     @property
     def generator_indices(self):
         """Basis indices generating the maximal ideal."""
-        t_part = tuple(self._t_index[n] for n in self.semigroup.generators)
-        return t_part + (self._u_index[self.cyclic_length],)
+        t_part = self._index[list(self.semigroup.generators)].tolist()
+        return tuple(t_part) + (len(self.t_exponents),)
 
     # -- lengths ------------------------------------------------------------
 
@@ -249,7 +252,7 @@ class FiberProductRing:
         prev = self._powers[k - 2] if k > 1 else None
         out = []
         for g in self.generator_indices:
-            table = self._product_table(g)
+            table = self._table(g)
             if prev is None:
                 out.append(table[:-1])
                 continue
@@ -315,11 +318,9 @@ class FiberProductRing:
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        top = max(self.semigroup.generators)
-        if (k + 1) * top > self.precision:
+        if k > _certified_degree(self.semigroup, self.precision):
             raise PrecisionTooSmallError(
-                "degree %d exceeds what precision %d certifies"
-                % (k, self.precision)
+                "degree %d exceeds what precision %d certifies" % (k, self.precision)
             )
         return self.width - len(self._power_basis(k + 1))
 
@@ -333,17 +334,17 @@ class FiberProductRing:
         difference equal to l(B/yB) certifies e(B) = l(B/yB), and every
         later difference equals it.  l(B/yB) is the number of free indices
         of yB, over every field; the differences are read up to the degree
-        the precision certifies, and this raises when none reaches it.
+        the precision certifies, kept as ``hilbert_differences``, and this
+        raises when none reaches it.
         """
-        if self._multiplicity is not None:
-            return self._multiplicity
-        cap = self.precision // max(self.semigroup.generators) - 1
+        if self.hilbert_differences is not None:
+            return self.hilbert_differences[-1]
         q = len(self._rows_of_yb()[1])
         diffs = []
-        for k in range(cap + 1):
+        for k in range(_certified_degree(self.semigroup, self.precision) + 1):
             diffs.append(self.hilbert_function(k) - sum(diffs))
             if diffs[-1] == q:
-                self._multiplicity, self._stop_degree = q, k
+                self.hilbert_differences = tuple(diffs)
                 return q
         raise NonStabilizedError(
             "Hilbert differences %r never reach l(B/yB) = %d; raise the precision"
@@ -359,7 +360,7 @@ class FiberProductRing:
         # is the least on each branch of the normalization, so yB is a
         # reduction of m.
         e, g = self.semigroup.multiplicity, self.cyclic_generator
-        return sorted({self._t_index[e], self._t_index[g]})
+        return np.unique(self._index[[e, g]]).tolist()
 
     def _rows_of_yb(self):
         # the rows y*b_j of yB, as sorted basis indices padded with width:
@@ -369,7 +370,7 @@ class FiberProductRing:
         # and the other indices, the free ones, number l(B/yB).
         if self._rows is None:
             w = self.width
-            index = np.hstack([self._product_table(i)[:-1] for i in self._parameter()])
+            index = np.hstack([self._table(i)[:-1] for i in self._parameter()])
             index = np.sort(np.where(index < 0, w, index), axis=1)
             if ((index[:, 1:] == index[:, :-1]) & (index[:, 1:] < w)).any():
                 raise CrossCheckError("a row of yB repeats an index")
@@ -420,7 +421,7 @@ class FiberProductRing:
             free, proj = self._reduction(prime)
             actions = self._actions[prime] = [
                 (proj[table[free, 0]] + proj[table[free, 1]]) % prime
-                for table in map(self._product_table, self.generator_indices)
+                for table in map(self._table, self.generator_indices)
             ]
         return actions
 
@@ -522,23 +523,22 @@ def verify_approximation(
     _check_width(semigroup, c, floor, floor)
     n0 = floor if precision is None else precision
     _check_width(semigroup, c, floor, n0, step)
-    cap = n0 // max(semigroup.generators) - 1
+    top = _certified_degree(semigroup, n0)
 
     runs = []
     for n in (n0, n0 + step):
         ring = FiberProductRing(semigroup, shift, precision=n, _quotient=quotient)
-        # e(B) and the Hilbert profile are the same over every field
+        # e(B) and the Hilbert profile are the same over every field; every
+        # difference from the one that certified e(B) on is e(B), and a
+        # ring certifying past the top degree at n0 disagrees with n0's
         e_b = ring.multiplicity()
-        # every difference from the stop degree on is e(B); the ring at n0
-        # stops by cap, and one stopping later disagrees with it
-        k0 = ring._stop_degree
-        profile = [ring.hilbert_function(k) for k in range(k0 + 1)]
-        profile += [profile[k0] + (k - k0) * e_b for k in range(k0 + 1, cap + 1)]
+        diffs = ring.hilbert_differences
+        profile = tuple(np.cumsum(diffs + (e_b,) * (top + 1 - len(diffs))).tolist())
         for p in primes:
-            ring._check_power_rank(ring._stop_degree + 1, p)
+            ring._check_power_rank(len(diffs), p)
             soc = ring.socle_of_reduction(p)
             graded = ring.graded_socle_of_reduction(p)
-            runs.append((e_b, tuple(profile), soc, graded))
+            runs.append((e_b, profile, soc, graded))
 
     if any(run != runs[0] for run in runs[1:]):
         raise CrossCheckError(

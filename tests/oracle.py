@@ -351,8 +351,9 @@ def bf_rank_mod_p(rows, p):
 # Test-only views of a FiberProductRing.  TruncatedSeries is an
 # independent series arithmetic; basis_pair reads a ring's exponent lists
 # and takes the quotient basis from the shifted canonical ideal, not from
-# the ring's exponent pairs, so products of the pairs check basis_product
-# and the matching condition checks the quotient basis;
+# the ring's exponent pairs, so products of the pairs check the product
+# tables (basis_product reads a row of one) and the matching condition
+# checks the quotient basis;
 # the dense generator matrices, the dense reduction by y, kernel_profile,
 # the dense power spaces and the width-dimensional socles start from
 # ``mult_matrix`` and reuse the package's RowSpace.  The ring is the same

@@ -230,29 +230,121 @@ def test_hilbert_function_matches_the_dense_powers():
     assert runs == 2 * len(cases) == 2 * (40 + 4)
 
 
-BROKEN_PRODUCTS = {
-    # a third index, or a repeated one, on products with two indices
-    "three-indices": lambda ring, j, out: out + [out[-1] + 1] if len(out) == 2 else out,
-    "repeated-index": lambda ring, j, out: out + [out[-1]] if len(out) == 2 else out,
-    # products of a pure tail get a t-index: each is a bimonomial on its
-    # own, but not its sum with the product of a t-index
-    "clashing-parts": lambda ring, j, out: (
-        [0] + out if out and j >= len(ring.t_exponents) else out
-    ),
+def _with_t_index_in_u_column(ring, i, table):
+    # products with both indices get their t-index in the u column too
+    both = (table >= 0).all(axis=1)
+    table[both, 1] = table[both, 0]
+    return table
+
+
+def _with_u_index_in_t_column(ring, i, table):
+    # products with a u-index get it in the t column too
+    table[table[:, 1] >= 0, 0] = table[table[:, 1] >= 0, 1]
+    return table
+
+
+def _with_tail_rows_in_t(ring, i, table):
+    # a member's products with the pure tails get the t-index 0
+    nt = len(ring.t_exponents)
+    tails = np.flatnonzero(table[:, 1] >= 0)
+    if i < nt:
+        table[tails[tails >= nt], 0] = 0
+    return table
+
+
+def _with_tail_table_in_t(ring, i, table):
+    # a pure tail's products with the members get the t-index 0
+    nt = len(ring.t_exponents)
+    tails = np.flatnonzero(table[:, 1] >= 0)
+    if i >= nt:
+        table[tails[tails < nt], 0] = 0
+    return table
+
+
+def _with_clashing_u_parts(ring, i, table):
+    # products with only a t-index get the u-index of z_c: each row is a
+    # bimonomial on its own, but a power's spanning product adds the rows
+    # of both parts of a (t^a, u^j), and their u-indices clash
+    alone = (table[:, 0] >= 0) & (table[:, 1] < 0)
+    table[alone, 1] = len(ring.t_exponents)
+    return table
+
+
+WRONG_COLUMN = r"basis\[\d+\] is not a bimonomial"
+PURE_TAIL = "pure tail has a t-index"
+
+BROKEN_TABLES = {
+    # an index in the other side's column
+    "t-index-in-u-column": (_with_t_index_in_u_column, WRONG_COLUMN),
+    "u-index-in-t-column": (_with_u_index_in_t_column, WRONG_COLUMN),
+    # products of a pure tail get a t-index, in a member's table or in
+    # the tail's own
+    "clashing-parts": (_with_tail_rows_in_t, PURE_TAIL),
+    "clashing-tail-table": (_with_tail_table_in_t, PURE_TAIL),
+    "clashing-u-parts": (_with_clashing_u_parts, "power 2 is not a bimonomial"),
 }
 
 
-@pytest.mark.parametrize("fault", sorted(BROKEN_PRODUCTS))
+@pytest.mark.parametrize("fault", sorted(BROKEN_TABLES))
 def test_non_bimonomial_product_raises(monkeypatch, fault):
-    basis_product = FiberProductRing.basis_product
+    # each fault breaks one check of the tables, which names it
+    corrupt, message = BROKEN_TABLES[fault]
+    product_table = FiberProductRing._product_table
 
-    def broken(self, i, j):
-        return BROKEN_PRODUCTS[fault](self, j, basis_product(self, i, j))
+    def broken(self, i):
+        return corrupt(self, i, product_table(self, i))
 
-    monkeypatch.setattr(FiberProductRing, "basis_product", broken)
+    monkeypatch.setattr(FiberProductRing, "_product_table", broken)
     ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
-    with pytest.raises(CrossCheckError, match="not a bimonomial"):
+    with pytest.raises(CrossCheckError, match=message):
         ring.multiplicity()
+
+
+def test_sum_of_members_outside_the_lookup_raises():
+    # the lookup array loses the member 7 = 3 + 4
+    ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
+    ring._index[7] = -1
+    with pytest.raises(CrossCheckError, match="sum of two members is not a member"):
+        ring.multiplicity()
+
+
+def test_quotient_basis_outside_the_window_raises(monkeypatch):
+    # a quotient basis reaching the member 41, past N = 40 on <3,4,5>
+    monkeypatch.setattr(
+        teter.fiber, "quotient_data", lambda H, I: QuotientData((0, 41), 1, 41, 2)
+    )
+    with pytest.raises(CrossCheckError, match="escapes the precision window"):
+        FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
+
+
+def test_generator_and_parameter_tables_match_the_series_products():
+    # every row of the tables the library reads, the generators' and the
+    # parameter's, against the products of the oracle's series pairs,
+    # truncated at N: the span of the basis elements past N is an ideal,
+    # so the model multiplies as its two sides truncated at N.  Every
+    # witness shift of genus <= 6 and the four benchmark rings, both with
+    # e = g and with e < g
+    cases = list(_witness_rings(6))
+    cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
+    p, kinds = DEFAULT_PRIME, set()
+    for H, shift in cases:
+        ring = FiberProductRing(H, shift)
+        n = ring.precision
+        # the two sides of each basis element, and zeros for the index -1
+        sides = np.zeros((ring.width + 1, 2, n + 1), dtype=np.int64)
+        for j in range(ring.width):
+            t_side, u_side = basis_pair(ring, j, p)
+            sides[j] = t_side.coeffs, u_side.coeffs
+        for i in set(ring.generator_indices) | set(ring._parameter()):
+            table = ring._table(i)[:-1]
+            got = sides[table[:, 0]] + sides[table[:, 1]]
+            want = [
+                [np.convolve(sides[i, s], sides[j, s])[: n + 1] for s in (0, 1)]
+                for j in range(ring.width)
+            ]
+            assert np.array_equal(got % p, np.array(want) % p), (H, shift, i)
+        kinds.add(H.multiplicity == ring.cyclic_generator)
+    assert len(cases) == 40 + 4 and kinds == {True, False}
 
 
 def test_power_rank_mismatch_raises(monkeypatch):
@@ -316,7 +408,9 @@ def test_power_rank_check_is_sparse_and_shares_the_spanning_products(monkeypatch
     monkeypatch.setattr(FiberProductRing, "_check_power_rank", flagged)
     monkeypatch.setattr(FiberProductRing, "_spanning_products", counting)
     monkeypatch.setattr(
-        FiberProductRing, "_dense", dense("_dense", FiberProductRing._dense)
+        FiberProductRing,
+        "mult_matrix",
+        dense("mult_matrix", FiberProductRing.mult_matrix),
     )
     monkeypatch.setattr(teter.fiber, "rank_of", dense("rank_of", teter.fiber.rank_of))
     monkeypatch.setattr(
@@ -409,32 +503,34 @@ def test_reduction_matches_dense_elimination():
 
 
 def test_rows_of_yb_with_one_leading_index_raise(monkeypatch):
-    # b_1 times anything returns the product with b_0, so the rows y*b_0
-    # and y*b_1 of yB coincide
-    basis_product = FiberProductRing.basis_product
+    # every product table repeats its row for b_0 as the row for b_1, so
+    # the rows y*b_0 and y*b_1 of yB coincide
+    product_table = FiberProductRing._product_table
 
-    def doubled(self, i, j):
-        return basis_product(self, i, 0 if j == 1 else j)
+    def doubled(self, i):
+        table = product_table(self, i)
+        table[1] = table[0]
+        return table
 
-    monkeypatch.setattr(FiberProductRing, "basis_product", doubled)
+    monkeypatch.setattr(FiberProductRing, "_product_table", doubled)
     ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
     with pytest.raises(CrossCheckError, match="lead at one index"):
         ring.multiplicity()
 
 
 def test_rows_of_yb_with_a_repeated_index_raise(monkeypatch):
-    # y = b_4 + b_11 on <4,5,11> at shift 11; b_11 times anything returns
-    # the product with b_4, so every row of yB holds its indices twice
-    basis_product = FiberProductRing.basis_product
+    # y = b_4 + b_11 on <4,5,11> at shift 11; the product table of b_11 is
+    # built as b_4's, so every row of yB holds its indices twice
+    product_table = FiberProductRing._product_table
     H = NumericalSemigroup([4, 5, 11])
     ring = FiberProductRing(H, 11)
     assert [ring.t_exponents[i] for i in ring._parameter()] == [4, 11]
     b4, b11 = ring._parameter()
 
-    def doubled(self, i, j):
-        return basis_product(self, b4 if i == b11 else i, j)
+    def doubled(self, i):
+        return product_table(self, b4 if i == b11 else i)
 
-    monkeypatch.setattr(FiberProductRing, "basis_product", doubled)
+    monkeypatch.setattr(FiberProductRing, "_product_table", doubled)
     ring = FiberProductRing(H, 11)
     with pytest.raises(CrossCheckError, match="a row of yB repeats an index"):
         ring.multiplicity()
@@ -464,24 +560,66 @@ def test_corrupted_projection_raises(monkeypatch, where):
         ring.socle_of_reduction()
 
 
+def test_maximal_ideal_acting_as_the_identity_raises(monkeypatch):
+    # generators acting on B/yB as the identity never shrink its powers
+    actions = FiberProductRing._quotient_actions
+
+    def identities(self, prime):
+        return [np.eye(len(a), dtype=np.int64) for a in actions(self, prime)]
+
+    monkeypatch.setattr(FiberProductRing, "_quotient_actions", identities)
+    ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
+    with pytest.raises(CrossCheckError, match="not nilpotent"):
+        ring.graded_socle_of_reduction()
+
+
+def test_sweep_disagreeing_with_itself_raises(monkeypatch):
+    # the socle reads one more at the second prime than at the first
+    socle = FiberProductRing.socle_of_reduction
+    monkeypatch.setattr(
+        FiberProductRing,
+        "socle_of_reduction",
+        lambda self, prime: socle(self, prime) + (prime == SECOND_PRIME),
+    )
+    with pytest.raises(CrossCheckError, match="disagrees with itself"):
+        verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
+
+
+def test_multiplicity_off_the_semigroup_prediction_raises(monkeypatch):
+    # both rings read one more than the model gives, e(B) = 5 for <3,4,5>,
+    # so the sweep agrees with itself but not with e + 1 = 4
+    multiplicity = FiberProductRing.multiplicity
+    monkeypatch.setattr(
+        FiberProductRing, "multiplicity", lambda self: multiplicity(self) + 1
+    )
+    with pytest.raises(CrossCheckError, match="multiplicity 5, semigroup predicts 4"):
+        verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
+
+
 def test_prime_free_tables_are_built_once_per_precision(monkeypatch):
     # one ring at the requested precision and one at the larger one, each
-    # reading its tables once for both primes
-    calls = []
-    basis_product = FiberProductRing.basis_product
+    # building one product table per generator, read at both primes, and
+    # none calling the pair rule
+    built = []
+    product_table = FiberProductRing._product_table
 
-    def counting(self, i, j):
-        calls.append(self.precision)
-        return basis_product(self, i, j)
+    def counting(self, i):
+        built.append((self.precision, i))
+        return product_table(self, i)
+
+    def pair_rule(self, i, j):
+        raise AssertionError("the library called basis_product")
 
     H = NumericalSemigroup([4, 5, 11])
     rings = [FiberProductRing(H, 11, precision=n) for n in (88, 110)]
-    monkeypatch.setattr(FiberProductRing, "basis_product", counting)
+    monkeypatch.setattr(FiberProductRing, "_product_table", counting)
+    monkeypatch.setattr(FiberProductRing, "basis_product", pair_rule)
     cert = verify_approximation(H, 11)
     assert cert.precisions_checked == (88, 110)
+    assert len(built) == len(set(built))
     for ring in rings:
-        want = ring.width * len(ring.generator_indices)
-        assert calls.count(ring.precision) == want
+        tables = sorted(i for n, i in built if n == ring.precision)
+        assert tables == sorted(ring.generator_indices)
 
 
 @pytest.mark.parametrize("precision, built", [(None, [40, 50]), (291, [291, 301])])
