@@ -22,14 +22,24 @@ precision N; the span of the basis elements above N is an ideal, hence
 the model is an honest quotient ring, and lengths computed below a
 precision-dependent degree bound are the true lengths in B.
 
-The lengths are combinatorial too.  Every power of the maximal ideal
-is spanned by bimonomials (t^a or 0, u^j or 0): in the basis, vectors
-with at most one t-index and one u-index, both coefficients 1.  Their
-rank is a union-find count on a bipartite graph, the same over every
-field.  The superficial parameter y has the value (e, 1), the least on
-each branch of the normalization k[[t]] x k[[u]], so yB is a reduction
-of the maximal ideal.  y is b_g when e = g and b_e + b_g otherwise, the
-rows of yB are 0/1 and lead at distinct basis indices, again over every
+The lengths are combinatorial too.  The maximal ideal is generated by
+b_g = (t^g, u), z_c = (0, u^c) and the b_n = (t^n, 0) for the other
+generators n, so a basis element times k generators is (t^a, 0),
+(0, u^j) or b_(ig) b_g^k = (t^(mg), u^m), m = i + k: in the basis, a
+pure vector (one index) or, for m >= c and mg <= N, a mixed one (a
+t-index and a u-index), coefficients 1.  They span the k-th power,
+and the mixed ones form a matching (checked): a t-index fixes m, hence
+the u-index, and back.  With the u-coordinates negated they are the
+columns of a graph's oriented incidence matrix, ground row deleted, a
+pure vector being an edge to the ground.  A cycle leaves the ground
+and, the mixed edges being a matching, comes back after one of them, so
+the only cycles are the triangles of the mixed vectors whose two
+indices are pure vectors too: over every field, a power's rank is the
+count of its distinct products less the count of those triangles.  The
+superficial parameter y has the value (e, 1), the least on each branch
+of the normalization k[[t]] x k[[u]], so yB is a reduction of the
+maximal ideal.  y is b_g when e = g and b_e + b_g otherwise, the rows
+of yB are 0/1 and lead at distinct basis indices, again over every
 field, so B/yB needs no elimination either: the other indices are its
 basis, and l(B/yB) is their count.  The multiplicity e(B) is certified
 by the first Hilbert difference equal to l(B/yB).
@@ -39,12 +49,13 @@ field.  Only the steps that work modulo a prime take the prime as an
 argument: a sweep over the rows of yB projects every basis element onto
 the free indices, the socle and the graded socle are computed in B/yB,
 of dimension e(B), and a sparse elimination over F_p of the spanning
-products of a power cross-checks its union-find rank.
+products of a power cross-checks that count.
 verify_approximation runs them at two primes and two precisions; the
 sweep either agrees with itself (and with the semigroup-side
 multiplicity) or raises.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +80,11 @@ from .modp import (
 
 
 # Widest model a FiberProductRing builds.  The product tables, the
-# union-find of each power and the sparse rank check all grow linearly
-# with the width, and the Python loops of the last two dominate (widths
-# 579 and 599, `analyze 3,4,5 --approximate --precision 291`: 0.02 s in
-# verify_approximation, 0.01 s once warm, about 70% of it in the
-# union-find and the rank check under cProfile; 31 MB peak for the whole
-# command on a 2-core x86-64 VM).
+# powers and the sparse rank check all grow linearly with the width, and
+# the rank check's Python loop dominates (widths 579 and 599, `analyze
+# 3,4,5 --approximate --precision 291`: 0.03 s in verify_approximation,
+# 0.013 s once warm, 45% of it in the rank check and 16% in the powers
+# under cProfile; 31 MB peak for the whole command, 2-core x86-64 VM).
 MAX_WIDTH = 600
 
 
@@ -162,25 +172,24 @@ class FiberProductRing:
         self.cyclic_generator = g = quotient.cyclic_generator
         self.cyclic_length = quotient.cyclic_length
 
-        self.t_exponents = tuple(semigroup.members_up_to(precision))
-        self.u_exponents = tuple(range(quotient.cyclic_length, precision + 1))
-        nt, tails = len(self.t_exponents), len(self.u_exponents)
-        self.width = nt + tails
         # the exponent pairs of the basis, -1 for a zero side, and the
         # index of each member up to N (-1 for a gap); the tail z_j is at
         # index nt + j - c
+        members = np.array(semigroup.members_up_to(precision), dtype=np.int64)
+        tails = np.arange(quotient.cyclic_length, precision + 1, dtype=np.int64)
+        self._nt = nt = len(members)
+        self.width = nt + len(tails)
         cobasis = np.array(quotient.cobasis, dtype=np.int64)
-        if not np.isin(cobasis, self.t_exponents).all():
+        if not np.isin(cobasis, members).all():
             raise CrossCheckError("quotient basis escapes the precision window")
-        self._t = np.array(self.t_exponents + (-1,) * tails, dtype=np.int64)
-        self._u = np.array((-1,) * nt + self.u_exponents, dtype=np.int64)
+        self._t = np.concatenate([members, np.full(len(tails), -1)])
+        self._u = np.concatenate([np.full(nt, -1), tails])
         self._index = np.full(precision + 1, -1, dtype=np.int64)
-        self._index[self._t[:nt]] = np.arange(nt)
+        self._index[members] = np.arange(nt)
         self._u[self._index[cobasis]] = cobasis // g
 
-        self._tables = {}
-        self._powers = []
         self._products = []
+        self._ranks = []
         self._rows = None
         self._actions = {}
         self.hilbert_differences = None
@@ -192,36 +201,44 @@ class FiberProductRing:
         basis[i]'s product table, without its -1s."""
         return [int(x) for x in self._table(i)[j] if x >= 0]
 
-    def _product_table(self, i):
-        # row j: the t-index and the u-index of basis[i] * basis[j], -1
-        # where there is none.  A last row of -1s lets -1 index "none".
-        # The exponent pairs add side by side: the member a + b and the
-        # tail v + w in [c, N], where both exist.
+    def _product_tables(self, rows):
+        # table r, row j: the t- and u-index of basis[rows[r]] * basis[j],
+        # -1 for none, and a last row of -1s lets -1 index "none".  Pairs
+        # add side by side: the member a + b, the tail v + w in [c, N].
         t, u, n, c = self._t, self._u, self.precision, self.cyclic_length
-        table = np.full((self.width + 1, 2), -1, dtype=np.int64)
-        a, v = t[i] + t, u[i] + u
-        rows = np.flatnonzero((t[i] >= 0) & (t >= 0) & (a <= n))
-        table[rows, 0] = self._index[a[rows]]
-        if (table[rows, 0] < 0).any():
+        ti, ui = t[rows, None], u[rows, None]
+        a, v = ti + t, ui + u
+        has_t = (ti >= 0) & (t >= 0) & (a <= n)
+        t_index = np.where(has_t, self._index[np.clip(a, 0, n)], -1)
+        if (has_t & (t_index < 0)).any():
             raise CrossCheckError("a sum of two members is not a member")
-        rows = np.flatnonzero((u[i] >= 0) & (u >= 0) & (c <= v) & (v <= n))
-        table[rows, 1] = len(self.t_exponents) + v[rows] - c
-        return table
+        has_u = (ui >= 0) & (u >= 0) & (c <= v) & (v <= n)
+        pairs = np.stack([t_index, np.where(has_u, self._nt + v - c, -1)], axis=-1)
+        return np.pad(pairs, ((0, 0), (0, 1), (0, 0)), constant_values=-1)
+
+    def _tables(self, rows):
+        # the product tables of basis[rows], checked: the t columns hold
+        # only t-indices, the u columns only u-indices, and a product with
+        # a pure tail (0, u^j) has no t-index
+        nt, tables = self._nt, self._product_tables(rows)
+        t_col, u_col = tables[:, :-1, 0], tables[:, :-1, 1]
+        wrong = ((t_col >= nt) | ((0 <= u_col) & (u_col < nt))).any(axis=1)
+        if wrong.any():
+            raise CrossCheckError(
+                "a product of basis[%d] is not a bimonomial" % rows[wrong.argmax()]
+            )
+        if ((t_col >= 0) & ((self._t < 0) | (self._t[rows, None] < 0))).any():
+            raise CrossCheckError("a product with a pure tail has a t-index")
+        return tables
 
     def _table(self, i):
-        # basis[i]'s product table, built once per ring and checked: the
-        # t column holds only t-indices, the u column only u-indices, and
-        # a product with a pure tail (0, u^j) has no t-index
-        table = self._tables.get(i)
-        if table is None:
-            nt, table = len(self.t_exponents), self._product_table(i)
-            t_col, u_col = table[:-1].T
-            if (t_col >= nt).any() or ((0 <= u_col) & (u_col < nt)).any():
-                raise CrossCheckError("a product of basis[%d] is not a bimonomial" % i)
-            if ((t_col >= 0) & ((self._t < 0) | (self._t[i] < 0))).any():
-                raise CrossCheckError("a product with a pure tail has a t-index")
-            self._tables[i] = table
-        return table
+        # basis[i]'s table alone, for the pair rule and the dense matrices
+        return self._tables([i])[0]
+
+    @functools.cached_property
+    def _generator_tables(self):
+        # the generators' product tables, stacked in generator_indices order
+        return self._tables(list(self.generator_indices))
 
     def mult_matrix(self, vec):
         """Multiplication by the element with integer coordinate row vec.
@@ -239,74 +256,58 @@ class FiberProductRing:
     def generator_indices(self):
         """Basis indices generating the maximal ideal."""
         t_part = self._index[list(self.semigroup.generators)].tolist()
-        return tuple(t_part) + (len(self.t_exponents),)
+        return tuple(t_part) + (self._nt,)
 
     # -- lengths ------------------------------------------------------------
 
     def _spanning_products(self, k):
-        # the products v * g, v in the basis of the (k-1)-st power (of B
-        # itself for k = 1) and g a generator, span the k-th power.  Each
-        # is a bimonomial (t^a or 0, u^j or 0), stored as its t-index and
-        # u-index (-1 for none); it is the sum of the products of v's two
-        # parts with g, which must not both have a t-index or a u-index.
-        prev = self._powers[k - 2] if k > 1 else None
-        out = []
-        for g in self.generator_indices:
-            table = self._table(g)
-            if prev is None:
-                out.append(table[:-1])
-                continue
-            t_part, u_part = table[prev[:, 0]], table[prev[:, 1]]
-            if ((t_part >= 0) & (u_part >= 0)).any():
+        # the products v * g, v a spanning product of the (k-1)-st power
+        # (a basis element for k = 1) and g a generator, span the k-th
+        # power.  Each is a (t-index, u-index) pair, -1 for none: the sum
+        # of v's two parts times g, which must not both have a t- or u-index.
+        tables = self._generator_tables
+        if k == 1:
+            out = tables[:, :-1]
+        else:
+            parts = tables[:, self._products[k - 2]]
+            if (parts >= 0).all(axis=2).any():
                 raise CrossCheckError("a product in power %d is not a bimonomial" % k)
-            out.append(np.maximum(t_part, u_part))
+            out = parts.max(axis=2)
         # distinct nonzero products, each pair coded as one integer
         base = self.width + 1
-        codes = np.unique(np.vstack(out) @ np.array([base, 1]) + base + 1)
+        codes = np.unique(out.reshape(-1, 2) @ np.array([base, 1]) + base + 1)
         codes = codes[codes > 0]
         return np.stack([codes // base, codes % base], axis=1) - 1
 
-    def _power_basis(self, k):
-        # bimonomial basis of the k-th power of the maximal ideal, k >= 1.
-        # Each pair is an edge between its t-index and its u-index, -1
-        # standing for a ground vertex.  Negating the u-coordinates turns
-        # the vectors into the columns of an oriented incidence matrix
-        # with the ground row deleted, so a set of them is independent
-        # over every field exactly when its edges form a forest: a
-        # union-find keeps a spanning forest.  The spanning products are
-        # kept beside the basis for the rank check.
-        while len(self._powers) < k:
-            parent = {}
-
-            def root(x):
-                while x in parent:
-                    up = parent[x]
-                    if up in parent:
-                        parent[x] = parent[up]
-                    x = up
-                return x
-
-            products = self._spanning_products(len(self._powers) + 1).tolist()
-            basis = []
-            for t, u in products:
-                a, b = root(t), root(u)
-                if a != b:
-                    parent[a] = b
-                    basis.append((t, u))
+    def _power_rank(self, k):
+        # rank of the k-th power, k >= 1, by the count of the module
+        # docstring; its spanning products are kept for the next power
+        while len(self._ranks) < k:
+            power = len(self._ranks) + 1
+            products = self._spanning_products(power)
             self._products.append(products)
-            self._powers.append(np.array(basis, dtype=np.int64).reshape(-1, 2))
-        return self._powers[k - 1]
+            mixed = (products >= 0).all(axis=1)
+            ends = products[mixed]
+            if (np.bincount(ends.ravel()) > 1).any():
+                raise CrossCheckError(
+                    "the mixed products of power %d are not a matching" % power
+                )
+            pure = np.zeros(self.width, dtype=bool)
+            pure[products[~mixed].max(axis=1)] = True
+            self._ranks.append(len(products) - int(pure[ends].all(axis=1).sum()))
+        return self._ranks[k - 1]
 
     def _check_power_rank(self, k, prime):
         # a sparse elimination over F_prime of the k-th power's spanning
         # products, each the row {t-index: 1, u-index: 1} without the -1,
-        # must agree with the union-find rank
-        combinatorial = len(self._power_basis(k))
-        rows = ({x: 1 for x in pair if x >= 0} for pair in self._products[k - 1])
+        # must agree with the matching count
+        combinatorial = self._power_rank(k)
+        pairs = self._products[k - 1].tolist()
+        rows = ({t: 1, u: 1} if t >= 0 <= u else {t + u + 1: 1} for t, u in pairs)
         modular = sparse_rank(rows, prime)
         if modular != combinatorial:
             raise CrossCheckError(
-                "power %d has rank %d over F_%d but %d by union-find"
+                "power %d has rank %d over F_%d but %d by the matching count"
                 % (k, modular, prime, combinatorial)
             )
 
@@ -322,7 +323,7 @@ class FiberProductRing:
             raise PrecisionTooSmallError(
                 "degree %d exceeds what precision %d certifies" % (k, self.precision)
             )
-        return self.width - len(self._power_basis(k + 1))
+        return self.width - self._power_rank(k + 1)
 
     def multiplicity(self):
         """e(B), certified by one Hilbert difference equal to l(B/yB).
@@ -364,21 +365,22 @@ class FiberProductRing:
 
     def _rows_of_yb(self):
         # the rows y*b_j of yB, as sorted basis indices padded with width:
-        # each is the union of the product-table rows of y's terms, every
-        # coefficient 1.  The nonzero rows must lead (least index) at
-        # distinct indices: then they are independent over every field,
-        # and the other indices, the free ones, number l(B/yB).
+        # each is the union of the product-table rows of y's terms (both
+        # generators), every coefficient 1.  The nonzero rows must lead
+        # (least index) at distinct indices: then they are independent over
+        # every field, and the other indices, the free ones, number l(B/yB).
         if self._rows is None:
             w = self.width
-            index = np.hstack([self._table(i)[:-1] for i in self._parameter()])
+            terms = [self.generator_indices.index(i) for i in self._parameter()]
+            index = np.hstack(self._generator_tables[terms, :-1])
             index = np.sort(np.where(index < 0, w, index), axis=1)
             if ((index[:, 1:] == index[:, :-1]) & (index[:, 1:] < w)).any():
                 raise CrossCheckError("a row of yB repeats an index")
             index = index[index[:, 0] < w]
-            lead = index[:, 0]
-            if len(np.unique(lead)) < len(lead):
+            leads = np.bincount(index[:, 0], minlength=w)
+            if (leads > 1).any():
                 raise CrossCheckError("two rows of yB lead at one index")
-            self._rows = index, np.setdiff1d(np.arange(w), lead)
+            self._rows = index, np.flatnonzero(leads == 0)
         return self._rows
 
     def _reduction(self, prime):
@@ -413,16 +415,14 @@ class FiberProductRing:
         # the free indices are a basis of B/yB, e(B) of them once
         # multiplicity() has certified it; generator g acts on it over
         # F_prime by the e(B) x e(B) matrix of the images of its products
-        # with them
+        # with them; the actions stand side by side, in generator order
         actions = self._actions.get(prime)
         if actions is None:
             check_modulus(prime)
             self.multiplicity()
             free, proj = self._reduction(prime)
-            actions = self._actions[prime] = [
-                (proj[table[free, 0]] + proj[table[free, 1]]) % prime
-                for table in map(self._table, self.generator_indices)
-            ]
+            images = proj[self._generator_tables[:, free]].sum(axis=2) % prime
+            actions = self._actions[prime] = np.hstack(images)
         return actions
 
     def socle_of_reduction(self, prime=DEFAULT_PRIME):
@@ -432,7 +432,7 @@ class FiberProductRing:
         the common kernel of the generators' actions.
         """
         actions = self._quotient_actions(prime)
-        return len(actions[0]) - rank_of(np.hstack(actions).T, prime)
+        return len(actions) - rank_of(actions.T, prime)
 
     def is_gorenstein(self, prime=DEFAULT_PRIME):
         """Whether B/yB over F_prime has a one-dimensional socle."""
@@ -447,26 +447,26 @@ class FiberProductRing:
         dim{x in P_k : xg in P_(k+2) for all g} - dim P_(k+1).
         """
         actions = self._quotient_actions(prime)
-        p, q = prime, len(actions[0])
-        spaces = [RowSpace(p, q)]
-        spaces[0].add_matrix(np.eye(q, dtype=np.int64))
-        # products[k] holds the rows of P_k times each generator
-        products = []
-        while spaces[-1].dim:
-            products.append([matmul_mod(spaces[-1].rows, a, p) for a in actions])
+        p, q = prime, len(actions)
+        # spaces[k] is P_k for k >= 1 (P_0 = B/yB has the identity for rows),
+        # products[k] the rows of P_k times each generator, side by side
+        rows, spaces, products = np.eye(q, dtype=np.int64), [None], []
+        while len(rows):
+            products.append(matmul_mod(rows, actions, p))
             nxt = RowSpace(p, q)
-            for prod in products[-1]:
-                nxt.add_matrix(prod)
-            if nxt.dim == spaces[-1].dim:
+            nxt.add_matrix(products[-1].reshape(-1, q))
+            if nxt.dim == len(rows):
                 raise CrossCheckError("the maximal ideal of B/yB is not nilpotent")
             spaces.append(nxt)
+            rows = nxt.rows
         top = len(products)
 
         total = 0
         for k in range(top):
             target = spaces[min(k + 2, top)]
-            cond = np.hstack([target.reduce_matrix(prod) for prod in products[k]])
-            total += spaces[k].dim - rank_of(cond.T, p) - spaces[k + 1].dim
+            blocks = products[k].reshape(len(products[k]), -1, q).swapaxes(0, 1)
+            cond = np.hstack([target.reduce_matrix(prod) for prod in blocks])
+            total += len(products[k]) - rank_of(cond.T, p) - spaces[k + 1].dim
         return total
 
 

@@ -17,6 +17,8 @@ is the one exception to dense storage: it eliminates rows kept as
 form already.
 """
 
+import functools
+
 import numpy as np
 
 DEFAULT_PRIME = 32003
@@ -39,6 +41,7 @@ def matmul_mod(a, b, p):
     return (a @ b) % p
 
 
+@functools.lru_cache(maxsize=None)
 def is_prime(n):
     if n < 2:
         return False

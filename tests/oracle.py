@@ -446,15 +446,14 @@ def basis_pair(ring, i, p):
     n = ring.precision
     t_side = TruncatedSeries(p, n)
     u_side = TruncatedSeries(p, n)
-    nt = len(ring.t_exponents)
-    if i < nt:
-        h = ring.t_exponents[i]
+    if i < ring._nt:
+        h = int(ring._t[i])
         t_side = TruncatedSeries.monomial(p, n, h)
         H = ring.semigroup
         if h in quotient_data(H, canonical_ideal(H).shift(ring.shift)).cobasis:
             u_side = TruncatedSeries.monomial(p, n, h // ring.cyclic_generator)
     else:
-        u_side = TruncatedSeries.monomial(p, n, ring.u_exponents[i - nt])
+        u_side = TruncatedSeries.monomial(p, n, int(ring._u[i]))
     return t_side, u_side
 
 
@@ -471,13 +470,13 @@ def superficial_parameter(ring):
     when e is not g (b_e = (t^e, u) when e = g).
     """
     e, g = ring.semigroup.multiplicity, ring.cyclic_generator
-    nt = len(ring.t_exponents)
+    nt, members = ring._nt, ring._t.tolist()
     vec = np.zeros(ring.width, dtype=np.int64)
-    vec[ring.t_exponents.index(e)] = 1
+    vec[members.index(e)] = 1
     if ring.cyclic_length == 1:
-        vec[nt + ring.u_exponents.index(1)] = 1
+        vec[nt + ring._u[nt:].tolist().index(1)] = 1
     elif e != g:
-        vec[ring.t_exponents.index(g)] = 1
+        vec[members.index(g)] = 1
     return vec
 
 
@@ -490,8 +489,7 @@ def dense_reduction(ring, p):
 
 def kernel_profile(ring, depth, p):
     """Lengths over F_p of K/(m^k K), K the kernel of the t-side projection."""
-    w = ring.width
-    nt = len(ring.t_exponents)
+    w, nt = ring.width, ring._nt
     total = w - nt
     cur = np.zeros((total, w), dtype=np.int64)
     cur[np.arange(total), nt + np.arange(total)] = 1
@@ -568,3 +566,46 @@ def width_graded_socle(ring, p):
         )
         total += rows.shape[0] - rank_of(cond, p) - dims[min(k + 1, top)]
     return total
+
+
+def union_find_ranks(ring, powers):
+    """Ranks of the first ``powers`` powers of ring's maximal ideal.
+
+    The k-th power is spanned by the products of a basis of the (k-1)-st
+    power (of B itself for k = 1) with each generator, read from the
+    generators' product tables one by one.  Each product is a pair
+    (t-index, u-index), -1 for none: an edge of a graph whose vertex -1
+    is the ground.  With the u-coordinates negated the products are the
+    columns of the graph's oriented incidence matrix, ground row deleted,
+    so a spanning forest, kept by a union-find, is a basis over every
+    field.
+    """
+    tables = [ring._table(g).tolist() for g in ring.generator_indices]
+    basis, ranks = None, []
+    for _ in range(powers):
+        products = set()
+        for rows in tables:
+            if basis is None:
+                products.update(map(tuple, rows[:-1]))
+            else:
+                # rows[-1] is the table's row of -1s
+                products.update(
+                    (max(rows[t][0], rows[u][0]), max(rows[t][1], rows[u][1]))
+                    for t, u in basis
+                )
+        products.discard((-1, -1))
+        parent = {}
+
+        def root(x):
+            while x in parent:
+                x = parent[x]
+            return x
+
+        basis = []
+        for t, u in sorted(products):
+            a, b = root(t), root(u)
+            if a != b:
+                parent[a] = b
+                basis.append((t, u))
+        ranks.append(len(basis))
+    return ranks

@@ -35,6 +35,7 @@ from oracle import (
     enumerate_semigroups,
     gen_matrices,
     kernel_profile,
+    union_find_ranks,
     width_graded_socle,
     width_socle,
 )
@@ -53,9 +54,10 @@ def ring4511():
 def test_construction_facts(ring345):
     assert (ring345.cyclic_generator, ring345.cyclic_length) == (3, 3)
     assert ring345.precision == default_precision(ring345.semigroup) == 40
-    assert ring345.width == len(ring345.t_exponents) + len(ring345.u_exponents)
-    assert ring345.t_exponents[:5] == (0, 3, 4, 5, 6)
-    assert ring345.u_exponents[0] == 3
+    nt = ring345._nt
+    assert ring345.width == nt + len(ring345._u[nt:])
+    assert ring345._t[:5].tolist() == [0, 3, 4, 5, 6]
+    assert ring345._u[nt] == 3
     # one basis generator per semigroup generator plus the first pure tail
     assert len(ring345.generator_indices) == 4
 
@@ -161,7 +163,7 @@ def test_multiplicity_never_reaching_the_quotient_length_raises(monkeypatch):
 
 
 def test_multiplicity_is_prime_free(monkeypatch):
-    # e(B) is read from the union-find ranks and the count of free
+    # e(B) is read from the matching-count ranks and the count of free
     # indices: no dense rank and no projection modulo a prime
     def modular(*args):
         raise AssertionError("multiplicity() read B modulo a prime")
@@ -210,7 +212,7 @@ APPROXIMATE_RINGS = [
 
 def test_hilbert_function_matches_the_dense_powers():
     # every power the certificate reads, against dense elimination: equal
-    # dimensions, and the union-find basis inside the dense span
+    # dimensions, and the spanning products inside the dense span
     cases = list(_witness_rings(6))
     cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
     runs = 0
@@ -222,9 +224,9 @@ def test_hilbert_function_matches_the_dense_powers():
                 power = dense_power_space(ring, p, power)
                 assert ring.hilbert_function(k) == ring.width - power.dim
                 # pairs of (t-index, u-index), -1 for none: the last column
-                basis = ring._power_basis(k + 1)
-                mat = np.zeros((len(basis), ring.width + 1), dtype=np.int64)
-                mat[np.arange(len(basis))[:, None], basis] = 1
+                products = ring._products[k]
+                mat = np.zeros((len(products), ring.width + 1), dtype=np.int64)
+                mat[np.arange(len(products))[:, None], products] = 1
                 assert not power.reduce_matrix(mat[:, :-1]).any(), (H, shift, p, k)
             runs += 1
     assert runs == 2 * len(cases) == 2 * (40 + 4)
@@ -245,7 +247,7 @@ def _with_u_index_in_t_column(ring, i, table):
 
 def _with_tail_rows_in_t(ring, i, table):
     # a member's products with the pure tails get the t-index 0
-    nt = len(ring.t_exponents)
+    nt = ring._nt
     tails = np.flatnonzero(table[:, 1] >= 0)
     if i < nt:
         table[tails[tails >= nt], 0] = 0
@@ -254,7 +256,7 @@ def _with_tail_rows_in_t(ring, i, table):
 
 def _with_tail_table_in_t(ring, i, table):
     # a pure tail's products with the members get the t-index 0
-    nt = len(ring.t_exponents)
+    nt = ring._nt
     tails = np.flatnonzero(table[:, 1] >= 0)
     if i >= nt:
         table[tails[tails < nt], 0] = 0
@@ -262,11 +264,23 @@ def _with_tail_table_in_t(ring, i, table):
 
 
 def _with_clashing_u_parts(ring, i, table):
-    # products with only a t-index get the u-index of z_c: each row is a
-    # bimonomial on its own, but a power's spanning product adds the rows
-    # of both parts of a (t^a, u^j), and their u-indices clash
-    alone = (table[:, 0] >= 0) & (table[:, 1] < 0)
-    table[alone, 1] = len(ring.t_exponents)
+    # the product of b_i with the t-part of each of b_i's own products
+    # (t^a, u^j) gets the u-index of z_N: each row is still a bimonomial
+    # and the mixed products of the first power still a matching, but a
+    # spanning product of power 2 adds the rows of both parts of a
+    # (t^a, u^j), and their u-indices clash
+    mixed = table[(table >= 0).all(axis=1), 0]
+    table[mixed, 1] = ring.width - 1
+    return table
+
+
+def _with_shared_t_index(ring, i, table):
+    # outside y's tables, the products with the t-index of b_g's mixed
+    # product (t^(cg), u^c) get the u-index of z_N: two mixed products of
+    # the first power share a t-index
+    if i not in ring._parameter():
+        shared = ring._index[ring.cyclic_length * ring.cyclic_generator]
+        table[table[:, 0] == shared, 1] = ring.width - 1
     return table
 
 
@@ -282,6 +296,8 @@ BROKEN_TABLES = {
     "clashing-parts": (_with_tail_rows_in_t, PURE_TAIL),
     "clashing-tail-table": (_with_tail_table_in_t, PURE_TAIL),
     "clashing-u-parts": (_with_clashing_u_parts, "power 2 is not a bimonomial"),
+    # two mixed products of a power share an index
+    "shared-t-index": (_with_shared_t_index, "power 1 are not a matching"),
 }
 
 
@@ -289,12 +305,15 @@ BROKEN_TABLES = {
 def test_non_bimonomial_product_raises(monkeypatch, fault):
     # each fault breaks one check of the tables, which names it
     corrupt, message = BROKEN_TABLES[fault]
-    product_table = FiberProductRing._product_table
+    product_tables = FiberProductRing._product_tables
 
-    def broken(self, i):
-        return corrupt(self, i, product_table(self, i))
+    def broken(self, rows):
+        tables = product_tables(self, rows)
+        for i, table in zip(rows, tables):
+            corrupt(self, i, table)
+        return tables
 
-    monkeypatch.setattr(FiberProductRing, "_product_table", broken)
+    monkeypatch.setattr(FiberProductRing, "_product_tables", broken)
     ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
     with pytest.raises(CrossCheckError, match=message):
         ring.multiplicity()
@@ -347,12 +366,28 @@ def test_generator_and_parameter_tables_match_the_series_products():
     assert len(cases) == 40 + 4 and kinds == {True, False}
 
 
+def test_matching_count_matches_the_union_find():
+    # every power hilbert_function can read, of every witness ring of
+    # genus <= 9 and the four benchmark rings: the matching count against
+    # a spanning forest of the products of the previous power's forest
+    cases = list(_witness_rings(9))
+    cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
+    powers = 0
+    for H, shift in cases:
+        ring = FiberProductRing(H, shift)
+        top = ring.precision // max(H.generators)
+        got = [ring._power_rank(k) for k in range(1, top + 1)]
+        assert got == union_find_ranks(ring, top), (H, shift)
+        powers += top
+    assert len(cases) == 4 + 131 and powers == 1151
+
+
 def test_power_rank_mismatch_raises(monkeypatch):
     sparse_rank = teter.fiber.sparse_rank
     monkeypatch.setattr(
         teter.fiber, "sparse_rank", lambda rows, p: sparse_rank(rows, p) + 1
     )
-    with pytest.raises(CrossCheckError, match="union-find"):
+    with pytest.raises(CrossCheckError, match="by the matching count"):
         verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
 
 
@@ -437,6 +472,35 @@ def test_multiplicity_makes_no_dense_products(monkeypatch):
     assert calls == []
 
 
+def test_graded_socle_makes_one_product_and_one_elimination_per_degree(monkeypatch):
+    # each degree k multiplies P_k by the actions stacked side by side
+    # once, and offers all the products to the fresh P_(k+1) at once
+    ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
+    q, gens = ring.multiplicity(), len(ring.generator_indices)
+    products, offered = [], []
+    matmul_mod, add_matrix = teter.fiber.matmul_mod, teter.modp.RowSpace.add_matrix
+
+    def counting_matmul_mod(a, b, p):
+        products.append((np.shape(a), np.shape(b)))
+        return matmul_mod(a, b, p)
+
+    def counting_add_matrix(self, mat):
+        offered.append(np.shape(mat))
+        return add_matrix(self, mat)
+
+    ring.socle_of_reduction()
+    monkeypatch.setattr(teter.fiber, "matmul_mod", counting_matmul_mod)
+    monkeypatch.setattr(teter.modp.RowSpace, "add_matrix", counting_add_matrix)
+    assert ring.graded_socle_of_reduction() == 2
+    degrees = len(products)
+    assert degrees >= 2 and all(b == (q, gens * q) for _, b in products)
+    # P_0 = B/yB is the identity, never eliminated; then one block per
+    # degree, and per degree one rank of the conditions
+    assert products[0][0] == (q, q)
+    assert [rows for rows, _ in offered[:degrees]] == [a[0] * gens for a, _ in products]
+    assert len(offered) == 2 * degrees
+
+
 def test_socles_match_the_width_dimensional_reference():
     # every witness shift of every semigroup of genus <= 5, at both primes
     runs = 0
@@ -497,7 +561,7 @@ def test_reduction_matches_dense_elimination():
             assert np.array_equal(free, dense_free), (H, shift, p)
             want = [span.reduce_matrix(m[free])[:, free] for m in gen_matrices(ring)]
             got = ring._quotient_actions(p)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (H, shift, p)
+            assert np.array_equal(got, np.hstack(want)), (H, shift, p)
             runs += 1
     assert runs == 4 * len(cases) == 4 * (40 + 4)
 
@@ -505,14 +569,14 @@ def test_reduction_matches_dense_elimination():
 def test_rows_of_yb_with_one_leading_index_raise(monkeypatch):
     # every product table repeats its row for b_0 as the row for b_1, so
     # the rows y*b_0 and y*b_1 of yB coincide
-    product_table = FiberProductRing._product_table
+    product_tables = FiberProductRing._product_tables
 
-    def doubled(self, i):
-        table = product_table(self, i)
-        table[1] = table[0]
-        return table
+    def doubled(self, rows):
+        tables = product_tables(self, rows)
+        tables[:, 1] = tables[:, 0]
+        return tables
 
-    monkeypatch.setattr(FiberProductRing, "_product_table", doubled)
+    monkeypatch.setattr(FiberProductRing, "_product_tables", doubled)
     ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
     with pytest.raises(CrossCheckError, match="lead at one index"):
         ring.multiplicity()
@@ -521,16 +585,16 @@ def test_rows_of_yb_with_one_leading_index_raise(monkeypatch):
 def test_rows_of_yb_with_a_repeated_index_raise(monkeypatch):
     # y = b_4 + b_11 on <4,5,11> at shift 11; the product table of b_11 is
     # built as b_4's, so every row of yB holds its indices twice
-    product_table = FiberProductRing._product_table
+    product_tables = FiberProductRing._product_tables
     H = NumericalSemigroup([4, 5, 11])
     ring = FiberProductRing(H, 11)
-    assert [ring.t_exponents[i] for i in ring._parameter()] == [4, 11]
+    assert [ring._t[i] for i in ring._parameter()] == [4, 11]
     b4, b11 = ring._parameter()
 
-    def doubled(self, i):
-        return product_table(self, b4 if i == b11 else i)
+    def doubled(self, rows):
+        return product_tables(self, [b4 if i == b11 else i for i in rows])
 
-    monkeypatch.setattr(FiberProductRing, "_product_table", doubled)
+    monkeypatch.setattr(FiberProductRing, "_product_tables", doubled)
     ring = FiberProductRing(H, 11)
     with pytest.raises(CrossCheckError, match="a row of yB repeats an index"):
         ring.multiplicity()
@@ -565,7 +629,8 @@ def test_maximal_ideal_acting_as_the_identity_raises(monkeypatch):
     actions = FiberProductRing._quotient_actions
 
     def identities(self, prime):
-        return [np.eye(len(a), dtype=np.int64) for a in actions(self, prime)]
+        got = actions(self, prime)
+        return np.tile(np.eye(len(got), dtype=np.int64), len(self.generator_indices))
 
     monkeypatch.setattr(FiberProductRing, "_quotient_actions", identities)
     ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
@@ -598,28 +663,25 @@ def test_multiplicity_off_the_semigroup_prediction_raises(monkeypatch):
 
 def test_prime_free_tables_are_built_once_per_precision(monkeypatch):
     # one ring at the requested precision and one at the larger one, each
-    # building one product table per generator, read at both primes, and
-    # none calling the pair rule
+    # building the generators' product tables in one stack, read at both
+    # primes, and none calling the pair rule
     built = []
-    product_table = FiberProductRing._product_table
+    product_tables = FiberProductRing._product_tables
 
-    def counting(self, i):
-        built.append((self.precision, i))
-        return product_table(self, i)
+    def counting(self, rows):
+        built.append((self.precision, tuple(rows)))
+        return product_tables(self, rows)
 
     def pair_rule(self, i, j):
         raise AssertionError("the library called basis_product")
 
     H = NumericalSemigroup([4, 5, 11])
     rings = [FiberProductRing(H, 11, precision=n) for n in (88, 110)]
-    monkeypatch.setattr(FiberProductRing, "_product_table", counting)
+    monkeypatch.setattr(FiberProductRing, "_product_tables", counting)
     monkeypatch.setattr(FiberProductRing, "basis_product", pair_rule)
     cert = verify_approximation(H, 11)
     assert cert.precisions_checked == (88, 110)
-    assert len(built) == len(set(built))
-    for ring in rings:
-        tables = sorted(i for n, i in built if n == ring.precision)
-        assert tables == sorted(ring.generator_indices)
+    assert built == [(ring.precision, ring.generator_indices) for ring in rings]
 
 
 @pytest.mark.parametrize("precision, built", [(None, [40, 50]), (291, [291, 301])])
