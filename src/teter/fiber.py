@@ -45,13 +45,15 @@ basis, and l(B/yB) is their count.  The multiplicity e(B) is certified
 by the first Hilbert difference equal to l(B/yB).
 
 So one FiberProductRing is the model of B at one precision, over every
-field.  Only the steps that work modulo a prime take the prime as an
-argument: a sweep over the rows of yB projects every basis element onto
-the free indices, the socle and the graded socle are computed in B/yB,
-of dimension e(B), and a sparse elimination over F_p of the spanning
-products of a power cross-checks that count.
-verify_approximation runs them at two primes and two precisions; the
-sweep either agrees with itself (and with the semigroup-side
+field, and B/yB is one integer object: a sweep over the rows of yB
+projects every basis element onto the free indices over Z, each image a
+signed monomial (checked), and the generators act on B/yB by the integer
+matrices of those images.  Only the eliminations take a prime: the socle
+and the graded socle reduce those matrices modulo p, and a sparse
+elimination over F_p of a power's spanning products cross-checks its
+count.  verify_approximation compares e(B), the Hilbert profile and the
+integer B/yB across two precisions and the socles across the primes;
+the sweep either agrees with itself (and with the semigroup-side
 multiplicity) or raises.
 """
 
@@ -82,8 +84,8 @@ from .modp import (
 # Widest model a FiberProductRing builds.  The product tables, the
 # powers and the sparse rank check all grow linearly with the width, and
 # the rank check's Python loop dominates (widths 579 and 599, `analyze
-# 3,4,5 --approximate --precision 291`: 0.03 s in verify_approximation,
-# 0.013 s once warm, 45% of it in the rank check and 16% in the powers
+# 3,4,5 --approximate --precision 291`: 0.027 s in verify_approximation,
+# 0.005 s once warm, 56% of it in the rank check and 19% in the powers
 # under cProfile; 31 MB peak for the whole command, 2-core x86-64 VM).
 MAX_WIDTH = 600
 
@@ -144,8 +146,7 @@ class FiberProductRing:
     b_(h_0), b_(h_1), ... (members of H up to N, ascending) followed by
     z_c, z_(c+1), ..., z_N; the arrays ``_t`` and ``_u`` hold their
     exponent pairs.  Multiplication by a fixed element is a width x width
-    matrix acting on row vectors.  The methods that read B/yB modulo a
-    prime take it as ``prime``.
+    matrix acting on row vectors.  The socles read B/yB modulo ``prime``.
     """
 
     def __init__(self, semigroup, shift, precision=None, *, _quotient=None):
@@ -190,8 +191,6 @@ class FiberProductRing:
 
         self._products = []
         self._ranks = []
-        self._rows = None
-        self._actions = {}
         self.hilbert_differences = None
 
     # -- basis combinatorics ------------------------------------------------
@@ -340,7 +339,7 @@ class FiberProductRing:
         """
         if self.hilbert_differences is not None:
             return self.hilbert_differences[-1]
-        q = len(self._rows_of_yb()[1])
+        q = len(self._rows_of_yb[1])
         diffs = []
         for k in range(_certified_degree(self.semigroup, self.precision) + 1):
             diffs.append(self.hilbert_function(k) - sum(diffs))
@@ -363,67 +362,60 @@ class FiberProductRing:
         e, g = self.semigroup.multiplicity, self.cyclic_generator
         return np.unique(self._index[[e, g]]).tolist()
 
+    @functools.cached_property
     def _rows_of_yb(self):
         # the rows y*b_j of yB, as sorted basis indices padded with width:
         # each is the union of the product-table rows of y's terms (both
         # generators), every coefficient 1.  The nonzero rows must lead
         # (least index) at distinct indices: then they are independent over
         # every field, and the other indices, the free ones, number l(B/yB).
-        if self._rows is None:
-            w = self.width
-            terms = [self.generator_indices.index(i) for i in self._parameter()]
-            index = np.hstack(self._generator_tables[terms, :-1])
-            index = np.sort(np.where(index < 0, w, index), axis=1)
-            if ((index[:, 1:] == index[:, :-1]) & (index[:, 1:] < w)).any():
-                raise CrossCheckError("a row of yB repeats an index")
-            index = index[index[:, 0] < w]
-            leads = np.bincount(index[:, 0], minlength=w)
-            if (leads > 1).any():
-                raise CrossCheckError("two rows of yB lead at one index")
-            self._rows = index, np.flatnonzero(leads == 0)
-        return self._rows
+        w = self.width
+        terms = [self.generator_indices.index(i) for i in self._parameter()]
+        index = np.hstack(self._generator_tables[terms, :-1])
+        index = np.sort(np.where(index < 0, w, index), axis=1)
+        if ((index[:, 1:] == index[:, :-1]) & (index[:, 1:] < w)).any():
+            raise CrossCheckError("a row of yB repeats an index")
+        index = index[index[:, 0] < w]
+        leads = np.bincount(index[:, 0], minlength=w)
+        if (leads > 1).any():
+            raise CrossCheckError("two rows of yB lead at one index")
+        return index, np.flatnonzero(leads == 0)
 
-    def _reduction(self, prime):
-        # B/yB over F_prime: the free indices and the projection onto them
-        index, free = self._rows_of_yb()
-        proj = self._projection(index, free, prime)
-        # proj is onto (the identity on the free indices) and kills yB,
-        # so rank(yB) <= width - q; the distinct leading indices give >=
-        if not np.array_equal(proj[free], np.eye(len(free), dtype=np.int64)):
-            raise CrossCheckError("the projection onto B/yB moves a free index")
-        if (proj[index].sum(axis=1) % prime).any():
-            raise CrossCheckError("the projection onto B/yB misses a row of yB")
-        return free, proj
-
-    def _projection(self, index, free, prime):
-        # row j: the image of b_j in B/yB, in the basis of the free
+    def _projection(self, index, free):
+        # row j: the image of b_j in B/yB over Z, in the basis of the free
         # indices; the last row, for the padding index, is zero.  Each row
         # of yB writes its leading index as minus the sum of its others,
         # so a sweep over all rows at once finishes every index whose
         # row's other indices were finished; sweeps stop at the fixed
-        # point, one more than the longest chain of leading indices.
+        # point, one more than the longest chain of leading indices.  An
+        # entry outside {-1, 0, 1} stops it before int64 could overflow.
         proj = np.zeros((self.width + 1, len(free)), dtype=np.int64)
         proj[free, np.arange(len(free))] = 1
         lead, rest = index[:, 0], index[:, 1:]
         while True:
-            new = -proj[rest].sum(axis=1) % prime
+            new = -proj[rest].sum(axis=1)
+            if (np.abs(new) > 1).any():
+                raise CrossCheckError("an image in B/yB leaves {-1, 0, 1}")
             if np.array_equal(new, proj[lead]):
                 return proj
             proj[lead] = new
 
-    def _quotient_actions(self, prime):
-        # the free indices are a basis of B/yB, e(B) of them once
-        # multiplicity() has certified it; generator g acts on it over
-        # F_prime by the e(B) x e(B) matrix of the images of its products
-        # with them; the actions stand side by side, in generator order
-        actions = self._actions.get(prime)
-        if actions is None:
-            check_modulus(prime)
-            self.multiplicity()
-            free, proj = self._reduction(prime)
-            images = proj[self._generator_tables[:, free]].sum(axis=2) % prime
-            actions = self._actions[prime] = np.hstack(images)
-        return actions
+    @functools.cached_property
+    def _quotient_actions(self):
+        # B/yB over Z: the free indices are its basis, e(B) of them once
+        # multiplicity() has certified it; generator g acts by the integer
+        # matrix of the images of its products with them; the actions
+        # stand side by side, in generator order
+        self.multiplicity()
+        index, free = self._rows_of_yb
+        proj = self._projection(index, free)
+        # proj is onto (the identity on the free indices) and kills yB,
+        # so rank(yB) <= width - q; the distinct leading indices give >=
+        if not np.array_equal(proj[free], np.eye(len(free), dtype=np.int64)):
+            raise CrossCheckError("the projection onto B/yB moves a free index")
+        if proj[index].sum(axis=1).any():
+            raise CrossCheckError("the projection onto B/yB misses a row of yB")
+        return np.hstack(proj[self._generator_tables[:, free]].sum(axis=2))
 
     def socle_of_reduction(self, prime=DEFAULT_PRIME):
         """Dimension of the socle of B/yB over F_prime.
@@ -431,7 +423,8 @@ class FiberProductRing:
         y is the superficial parameter; the socle is computed in B/yB as
         the common kernel of the generators' actions.
         """
-        actions = self._quotient_actions(prime)
+        check_modulus(prime)
+        actions = self._quotient_actions % prime
         return len(actions) - rank_of(actions.T, prime)
 
     def is_gorenstein(self, prime=DEFAULT_PRIME):
@@ -446,7 +439,8 @@ class FiberProductRing:
         generator pushes it into P_(k+2), so degree k adds
         dim{x in P_k : xg in P_(k+2) for all g} - dim P_(k+1).
         """
-        actions = self._quotient_actions(prime)
+        check_modulus(prime)
+        actions = self._quotient_actions % prime
         p, q = prime, len(actions)
         # spaces[k] is P_k for k >= 1 (P_0 = B/yB has the identity for rows),
         # products[k] the rows of P_k times each generator, side by side
@@ -508,10 +502,10 @@ def verify_approximation(
     """Run the model at two precisions and every prime, and compare.
 
     Two precisions (the requested one and a strictly larger one), one
-    model of B each, read at least two distinct primes; all runs must
-    report identical lengths, and the stable multiplicity must exceed
-    the semigroup's by exactly one.  Any disagreement raises instead of
-    returning.
+    model of B each, must give the same e(B), Hilbert profile and integer
+    B/yB; its socles, read once at each of at least two distinct primes,
+    must agree, and e(B) must exceed the semigroup's multiplicity by
+    exactly one.  Any disagreement raises instead of returning.
     """
     primes = check_primes(primes)
     step = 2 * max(semigroup.generators)
@@ -536,15 +530,19 @@ def verify_approximation(
         profile = tuple(np.cumsum(diffs + (e_b,) * (top + 1 - len(diffs))).tolist())
         for p in primes:
             ring._check_power_rank(len(diffs), p)
-            soc = ring.socle_of_reduction(p)
-            graded = ring.graded_socle_of_reduction(p)
-            runs.append((e_b, profile, soc, graded))
-
-    if any(run != runs[0] for run in runs[1:]):
+        runs.append((e_b, profile, ring._quotient_actions.tolist()))
+    if runs[0] != runs[1]:
         raise CrossCheckError(
-            "precision/modulus sweep disagrees with itself: %r" % (runs,)
+            "precision sweep disagrees with itself: %r" % ([run[:2] for run in runs],)
         )
-    e_b, profile, soc, graded = runs[0]
+    # B/yB is the same integer object at both precisions, so its socles
+    # are read once per prime
+    socles = {}
+    for p in primes:
+        socles[p] = ring.socle_of_reduction(p), ring.graded_socle_of_reduction(p)
+    if len(set(socles.values())) != 1:
+        raise CrossCheckError("modulus sweep disagrees with itself: %r" % socles)
+    soc, graded = socles[p]
     if e_b != semigroup.multiplicity + 1:
         raise CrossCheckError(
             "model multiplicity %d, semigroup predicts %d"

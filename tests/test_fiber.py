@@ -153,10 +153,10 @@ def test_multiplicity_never_reaching_the_quotient_length_raises(monkeypatch):
     rows_of_yb = FiberProductRing._rows_of_yb
 
     def short(self):
-        index, free = rows_of_yb(self)
+        index, free = rows_of_yb.func(self)
         return index[1:], np.union1d(free, index[:1, 0])
 
-    monkeypatch.setattr(FiberProductRing, "_rows_of_yb", short)
+    monkeypatch.setattr(FiberProductRing, "_rows_of_yb", property(short))
     ring = FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
     with pytest.raises(NonStabilizedError, match=r"never reach l\(B/yB\) = 5"):
         ring.multiplicity()
@@ -546,21 +546,21 @@ def test_reduction_matches_dense_elimination():
     # every witness shift of genus <= 6 and the four benchmark rings, at
     # the smallest primes and the default ones: l(B/yB) and the free
     # indices are the rank and the non-pivot columns of the dense y*B, for
-    # the y the oracle builds itself, and the actions on B/yB are the
-    # dense residues of the generator matrices
+    # the y the oracle builds itself, and the residues of the integer
+    # actions on B/yB are the dense residues of the generator matrices
     cases = list(_witness_rings(6))
     cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
     runs = 0
     for H, shift in cases:
         ring = FiberProductRing(H, shift)
+        free = ring._rows_of_yb[1]
         for p in (2, 3, DEFAULT_PRIME, SECOND_PRIME):
-            free = ring._reduction(p)[0]
             span = dense_reduction(ring, p)
             assert len(free) == ring.width - span.dim
             dense_free = np.setdiff1d(np.arange(ring.width), span.pivots)
             assert np.array_equal(free, dense_free), (H, shift, p)
             want = [span.reduce_matrix(m[free])[:, free] for m in gen_matrices(ring)]
-            got = ring._quotient_actions(p)
+            got = ring._quotient_actions % p
             assert np.array_equal(got, np.hstack(want)), (H, shift, p)
             runs += 1
     assert runs == 4 * len(cases) == 4 * (40 + 4)
@@ -612,10 +612,10 @@ PROJECTION_FAULTS = {
 def test_corrupted_projection_raises(monkeypatch, where):
     projection = FiberProductRing._projection
 
-    def corrupted(self, index, free, prime):
-        proj = projection(self, index, free, prime)
+    def corrupted(self, index, free):
+        proj = projection(self, index, free)
         row = index[0, 0] if where == "leading" else free[-1]
-        proj[row, 0] = (proj[row, 0] + 1) % prime
+        proj[row, 0] += 1
         return proj
 
     monkeypatch.setattr(FiberProductRing, "_projection", corrupted)
@@ -624,15 +624,33 @@ def test_corrupted_projection_raises(monkeypatch, where):
         ring.socle_of_reduction()
 
 
+def test_projection_image_outside_the_signed_units_raises(monkeypatch):
+    # y = b_4 + b_11 on <4,5,11> at shift 11, so a row of yB has three
+    # indices besides its leading one; with all three set to one free
+    # index, the sweep writes -3 times its basis vector
+    rows_of_yb = FiberProductRing._rows_of_yb
+
+    def repeated(self):
+        index, free = rows_of_yb.func(self)
+        index[0, 1:] = free[0]
+        return index, free
+
+    monkeypatch.setattr(FiberProductRing, "_rows_of_yb", property(repeated))
+    ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
+    assert ring._generator_tables.shape[2] * len(ring._parameter()) == 4
+    with pytest.raises(CrossCheckError, match=r"leaves \{-1, 0, 1\}"):
+        ring.socle_of_reduction()
+
+
 def test_maximal_ideal_acting_as_the_identity_raises(monkeypatch):
     # generators acting on B/yB as the identity never shrink its powers
     actions = FiberProductRing._quotient_actions
 
-    def identities(self, prime):
-        got = actions(self, prime)
+    def identities(self):
+        got = actions.func(self)
         return np.tile(np.eye(len(got), dtype=np.int64), len(self.generator_indices))
 
-    monkeypatch.setattr(FiberProductRing, "_quotient_actions", identities)
+    monkeypatch.setattr(FiberProductRing, "_quotient_actions", property(identities))
     ring = FiberProductRing(NumericalSemigroup([4, 5, 11]), 11)
     with pytest.raises(CrossCheckError, match="not nilpotent"):
         ring.graded_socle_of_reduction()
@@ -648,6 +666,57 @@ def test_sweep_disagreeing_with_itself_raises(monkeypatch):
     )
     with pytest.raises(CrossCheckError, match="disagrees with itself"):
         verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
+
+
+def test_precisions_disagreeing_on_the_reduction_raise(monkeypatch):
+    # the second precision's B/yB has every structure constant negated:
+    # the same e(B), Hilbert profile and socles, but other integer actions
+    actions = FiberProductRing._quotient_actions
+
+    def negated_at_the_second_precision(self):
+        got = actions.func(self)
+        return -got if self.precision > default_precision(self.semigroup) else got
+
+    monkeypatch.setattr(
+        FiberProductRing, "_quotient_actions", property(negated_at_the_second_precision)
+    )
+    with pytest.raises(CrossCheckError, match="precision sweep disagrees with itself"):
+        verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
+
+
+def test_reduction_built_once_per_ring_and_socles_once_per_prime(monkeypatch):
+    # per verify: one projection onto B/yB per ring, each socle once per
+    # prime, and the power rank check once per precision and prime
+    calls = []
+
+    def counting(name):
+        real = getattr(FiberProductRing, name)
+
+        def counted(self, *args):
+            prime = None if name == "_projection" else args[-1]
+            calls.append((name, self.precision, prime))
+            return real(self, *args)
+
+        monkeypatch.setattr(FiberProductRing, name, counted)
+
+    names = [
+        "_projection",
+        "socle_of_reduction",
+        "graded_socle_of_reduction",
+        "_check_power_rank",
+    ]
+    for name in names:
+        counting(name)
+    cert = verify_approximation(NumericalSemigroup([4, 5, 11]), 11)
+    counts = {name: sum(call[0] == name for call in calls) for name in names}
+    assert counts == {
+        "_projection": 2,
+        "socle_of_reduction": 2,
+        "graded_socle_of_reduction": 2,
+        "_check_power_rank": 4,
+    }
+    assert len(calls) == len(set(calls))
+    assert {c[1] for c in calls if c[0] == "_projection"} == set(cert.precisions_checked)
 
 
 def test_multiplicity_off_the_semigroup_prediction_raises(monkeypatch):
@@ -863,6 +932,8 @@ def test_every_genus_13_witness_reaches_the_multiplicity():
         t_side = np.flatnonzero(sum(t.coeffs for t, _ in pairs) % DEFAULT_PRIME)
         u_side = np.flatnonzero(sum(u.coeffs for _, u in pairs) % DEFAULT_PRIME)
         assert (t_side[0], u_side[0]) == (H.multiplicity, 1), gens
+        # B/yB over Z has structure constants in {-1, 0, 1}
+        assert np.isin(ring._quotient_actions, (-1, 0, 1)).all(), gens
         rings += 1
     elapsed = time.perf_counter() - start
     assert rings == 426

@@ -35,6 +35,31 @@ def test_census_verdict_counts():
     assert counts == CENSUS_VERDICTS
 
 
+# the number of semigroups of each genus 0..15, and the genus <= 15
+# verdicts, Teter split as above
+GENUS_COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857]
+CENSUS_15_VERDICTS = {
+    "Gorenstein": 293,
+    "Teter/Yes": 255,
+    "Teter/No": 609,
+    "Unknown": 1865,
+    "NotTeter": 3942,
+}
+
+
+def test_genus_15_census_counts_and_verdicts():
+    genera, counts = [0] * 16, {}
+    for genus, gens in oracle.enumerate_semigroups(15):
+        genera[genus] += 1
+        r = teter_check(NumericalSemigroup(list(gens)))
+        key = r.verdict
+        if key == "Teter":
+            key += "/" + r.strongly.status
+        counts[key] = counts.get(key, 0) + 1
+    assert genera == GENUS_COUNTS and sum(genera) == 6964
+    assert counts == CENSUS_15_VERDICTS
+
+
 def test_teter_check_scans_once_and_tests_the_cone_once(monkeypatch):
     # <4,5,6,7> has a CM cone and two certifying shifts, 7 and 8: every
     # place that could redo a fact is reached.  apery_set runs once per
