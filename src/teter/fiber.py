@@ -48,13 +48,27 @@ So one FiberProductRing is the model of B at one precision, over every
 field, and B/yB is one integer object: a sweep over the rows of yB
 projects every basis element onto the free indices over Z, each image a
 signed monomial (checked), and the generators act on B/yB by the integer
-matrices of those images.  Only the eliminations take a prime: the socle
-and the graded socle reduce those matrices modulo p, and a sparse
-elimination over F_p of a power's spanning products cross-checks its
-count.  verify_approximation compares e(B), the Hilbert profile and the
-integer B/yB across two precisions and the socles across the primes;
-the sweep either agrees with itself (and with the semigroup-side
-multiplicity) or raises.
+matrices of those images, which only the socles reduce modulo a prime.
+verify_approximation compares e(B), the Hilbert profile and the integer
+B/yB at two precisions and the socles at the primes; the sweep either
+agrees with itself (and with the semigroup-side multiplicity) or raises.
+
+Counted per degree, the same products give the lengths from H, g and c
+alone, and hilbert_function checks each length it returns against them.
+Let a of ord >= K be h + s, s a sum of K minimal generators: in n^K, the
+K-th power of the maximal ideal, b_h times s's product is the pure b_a
+unless s = Kg and h = ig with i < c <= i + K = m, where it is the mixed
+(t^(mg), u^m).  So the t-indices outside the pure products are the
+l(A/m^K) members of ord < K and the mg for m in X_K, the m in
+[max(K, c), K + c - 1] such that no minimal generator n != g has mg - n
+in H of ord >= K - 1.  Only the K - 1 tails z_c, ..., z_(K+c-2) are
+not pure, and each of the min(K, c) mixed products adds one to the
+rank unless both its ends are pure (only m = K + c - 1 outside X_K):
+
+    l(B/n^K) = l(A/m^K) + |X_K| + K - min(K, c) - [K + c - 1 in X_K],
+
+with l(A/m^K) the sum of (a_K[i] - a_0[i]) / e, a_n the rows of
+apery_table.
 """
 
 import functools
@@ -77,16 +91,15 @@ from .modp import (
     check_modulus,
     matmul_mod,
     rank_of,
-    sparse_rank,
 )
 
 
-# Widest model a FiberProductRing builds.  The product tables, the
-# powers and the sparse rank check all grow linearly with the width, and
-# the rank check's Python loop dominates (widths 579 and 599, `analyze
-# 3,4,5 --approximate --precision 291`: 0.027 s in verify_approximation,
-# 0.005 s once warm, 56% of it in the rank check and 19% in the powers
-# under cProfile; 31 MB peak for the whole command, 2-core x86-64 VM).
+# Widest model a FiberProductRing builds.  The product tables and the
+# powers grow linearly with the width, and the powers dominate (widths
+# 579 and 599, `analyze 3,4,5 --approximate --precision 291`: 0.026 s in
+# verify_approximation, 0.006 s once warm, 42% of it in the powers and
+# 17% in the graded socle under cProfile; 31 MB peak for the whole
+# command, 2-core x86-64 VM).
 MAX_WIDTH = 600
 
 
@@ -101,6 +114,21 @@ def _certified_degree(semigroup, precision):
     # the largest degree k with (k + 1) * max(generators) <= N: every
     # basis element past N lies in m^(k+1), so l(B/m^(k+1)) is exact
     return precision // max(semigroup.generators) - 1
+
+
+def _closed_form_length(semigroup, g, c, k):
+    # l(B/n^k), k >= 1, from H, the cyclic generator g and the length c
+    # of A/J alone, by the module docstring's closed form; apery_table's
+    # row k is a_r + (k - r)e past its last row r
+    e, table = semigroup.multiplicity, semigroup.apery_table
+    r = len(table) - 1
+    length_a = (sum(table[min(k, r)]) - sum(table[0])) // e + e * max(0, k - r)
+    free = []
+    for m in range(max(k, c), k + c):
+        reach = [m * g - n for n in semigroup.generators if n != g]
+        if not any(h in semigroup and semigroup.ord(h) >= k - 1 for h in reach):
+            free.append(m)
+    return length_a + len(free) + k - min(k, c) - (k + c - 1 in free)
 
 
 def _check_width(semigroup, cyclic_length, floor, precision, sweep=0):
@@ -296,20 +324,6 @@ class FiberProductRing:
             self._ranks.append(len(products) - int(pure[ends].all(axis=1).sum()))
         return self._ranks[k - 1]
 
-    def _check_power_rank(self, k, prime):
-        # a sparse elimination over F_prime of the k-th power's spanning
-        # products, each the row {t-index: 1, u-index: 1} without the -1,
-        # must agree with the matching count
-        combinatorial = self._power_rank(k)
-        pairs = self._products[k - 1].tolist()
-        rows = ({t: 1, u: 1} if t >= 0 <= u else {t + u + 1: 1} for t, u in pairs)
-        modular = sparse_rank(rows, prime)
-        if modular != combinatorial:
-            raise CrossCheckError(
-                "power %d has rank %d over F_%d but %d by the matching count"
-                % (k, modular, prime, combinatorial)
-            )
-
     def hilbert_function(self, k):
         """Length of B modulo the (k+1)-st power of the maximal ideal.
 
@@ -322,7 +336,15 @@ class FiberProductRing:
             raise PrecisionTooSmallError(
                 "degree %d exceeds what precision %d certifies" % (k, self.precision)
             )
-        return self.width - self._power_rank(k + 1)
+        length = self.width - self._power_rank(k + 1)
+        g, c = self.cyclic_generator, self.cyclic_length
+        closed = _closed_form_length(self.semigroup, g, c, k + 1)
+        if length != closed:
+            raise CrossCheckError(
+                "l(B/n^%d) is %d by the matching count but %d by the semigroup"
+                % (k + 1, length, closed)
+            )
+        return length
 
     def multiplicity(self):
         """e(B), certified by one Hilbert difference equal to l(B/yB).
@@ -503,9 +525,10 @@ def verify_approximation(
 
     Two precisions (the requested one and a strictly larger one), one
     model of B each, must give the same e(B), Hilbert profile and integer
-    B/yB; its socles, read once at each of at least two distinct primes,
-    must agree, and e(B) must exceed the semigroup's multiplicity by
-    exactly one.  Any disagreement raises instead of returning.
+    B/yB, every length read checked against the semigroup's closed form;
+    its socles, read once at each of at least two distinct primes, must
+    agree, and e(B) must exceed the semigroup's multiplicity by exactly
+    one.  Any disagreement raises instead of returning.
     """
     primes = check_primes(primes)
     step = 2 * max(semigroup.generators)
@@ -528,8 +551,6 @@ def verify_approximation(
         e_b = ring.multiplicity()
         diffs = ring.hilbert_differences
         profile = tuple(np.cumsum(diffs + (e_b,) * (top + 1 - len(diffs))).tolist())
-        for p in primes:
-            ring._check_power_rank(len(diffs), p)
         runs.append((e_b, profile, ring._quotient_actions.tolist()))
     if runs[0] != runs[1]:
         raise CrossCheckError(

@@ -11,10 +11,7 @@ dimensions up to 2^53 / (p-1)^2, which is at least 2^21.
 A ``RowSpace`` grows by whole blocks: each offered block is reduced
 against the current span in one product, then eliminated on its own,
 in the style of FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear
-algebra over word-size prime fields", ACM TOMS 2008).  ``sparse_rank``
-is the one exception to dense storage: it eliminates rows kept as
-{column: coefficient} mappings, for matrices that are nearly in echelon
-form already.
+algebra over word-size prime fields", ACM TOMS 2008).
 """
 
 import functools
@@ -134,34 +131,3 @@ def rank_of(mat, p):
     space.add_matrix(mat)
     return space.dim
 
-
-def sparse_rank(rows, p):
-    """Rank over F_p of rows given as {column: coefficient} mappings.
-
-    Each row, its coefficients reduced mod p, is reduced by the pivot row
-    of its least column until it vanishes or its least column has no
-    pivot yet; it then becomes that column's pivot row, scaled to lead
-    with 1.  Work follows the fill-in, not the width (Dumas and Villard,
-    "Computing the rank of sparse matrices over finite fields", CASC
-    2002): a row already in echelon position costs one dictionary pass.
-    """
-    pivots = {}
-    for row in rows:
-        row = {c: x % p for c, x in row.items() if x % p}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                if row[lead] != 1:
-                    inv = pow(row[lead], -1, p)
-                    row = {c: x * inv % p for c, x in row.items()}
-                pivots[lead] = row
-                break
-            f = row[lead]
-            for c, x in pivot.items():
-                y = (row.get(c, 0) - f * x) % p
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-    return len(pivots)

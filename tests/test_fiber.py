@@ -14,6 +14,7 @@ from teter import (
     NoWitnessError,
     NumericalSemigroup,
     PrecisionTooSmallError,
+    RelativeIdeal,
     build_approximation,
     teter_check,
     verify_approximation,
@@ -22,7 +23,7 @@ import teter.fiber
 import teter.modp
 from teter.classify import witness_shifts
 from teter.fiber import default_precision
-from teter.ideals import QuotientData
+from teter.ideals import QuotientData, quotient_data
 from teter.modp import DEFAULT_PRIME, SECOND_PRIME
 from oracle import (
     TruncatedSeries,
@@ -169,7 +170,6 @@ def test_multiplicity_is_prime_free(monkeypatch):
         raise AssertionError("multiplicity() read B modulo a prime")
 
     monkeypatch.setattr(teter.fiber, "rank_of", modular)
-    monkeypatch.setattr(teter.fiber, "sparse_rank", modular)
     monkeypatch.setattr(FiberProductRing, "_projection", modular)
     assert FiberProductRing(NumericalSemigroup([3, 4, 5]), 6).multiplicity() == 4
 
@@ -369,7 +369,8 @@ def test_generator_and_parameter_tables_match_the_series_products():
 def test_matching_count_matches_the_union_find():
     # every power hilbert_function can read, of every witness ring of
     # genus <= 9 and the four benchmark rings: the matching count against
-    # a spanning forest of the products of the previous power's forest
+    # a spanning forest of the products of the previous power's forest,
+    # and the length it gives against the semigroup's closed form
     cases = list(_witness_rings(9))
     cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
     powers = 0
@@ -378,61 +379,92 @@ def test_matching_count_matches_the_union_find():
         top = ring.precision // max(H.generators)
         got = [ring._power_rank(k) for k in range(1, top + 1)]
         assert got == union_find_ranks(ring, top), (H, shift)
+        g, c = ring.cyclic_generator, ring.cyclic_length
+        assert [ring.width - rank for rank in got] == [
+            teter.fiber._closed_form_length(H, g, c, k) for k in range(1, top + 1)
+        ], (H, shift)
         powers += top
     assert len(cases) == 4 + 131 and powers == 1151
 
 
+@pytest.mark.parametrize(
+    "gens, ideal",
+    [([3, 4, 5], [4, 5, 6]), ([4, 5, 11], [5, 8, 11]), ([5, 6, 13], [6, 10, 13])],
+)
+def test_closed_form_counts_the_last_mixed_product(gens, ideal):
+    # the term [K + c - 1 in X_K] is 0 at every K once cg lies in the
+    # ideal of the other generators, as it does at all 913 witness shifts
+    # of genus <= 15; here J = (others, cg) and cg does not, so the term
+    # is 1 at K = 1, and a ring of J's cyclic quotient pins it
+    H = NumericalSemigroup(gens)
+    quotient = quotient_data(H, RelativeIdeal.from_generators(H, ideal))
+    g, c = quotient.cyclic_generator, quotient.cyclic_length
+    assert c == 2 and all(c * g - n not in H for n in H.generators if n != g)
+    ring = FiberProductRing(H, None, _quotient=quotient)
+    top = ring.precision // max(H.generators)
+    got = [ring._power_rank(k) for k in range(1, top + 1)]
+    assert got == union_find_ranks(ring, top)
+    assert [ring.width - rank for rank in got] == [
+        teter.fiber._closed_form_length(H, g, c, k) for k in range(1, top + 1)
+    ]
+
+
 def test_power_rank_mismatch_raises(monkeypatch):
-    sparse_rank = teter.fiber.sparse_rank
+    # the width model's side of hilbert_function's check off by one
+    power_rank = FiberProductRing._power_rank
     monkeypatch.setattr(
-        teter.fiber, "sparse_rank", lambda rows, p: sparse_rank(rows, p) + 1
+        FiberProductRing, "_power_rank", lambda self, k: power_rank(self, k) + 1
     )
-    with pytest.raises(CrossCheckError, match="by the matching count"):
+    with pytest.raises(
+        CrossCheckError,
+        match=r"l\(B/n\^1\) is 0 by the matching count but 1 by the semigroup",
+    ):
         verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
 
 
-@pytest.mark.parametrize(
-    "primes, checks",
-    [((DEFAULT_PRIME, SECOND_PRIME), 4), ((2, 3, 5), 6)],
-    ids=["default-primes", "three-primes"],
-)
-def test_power_rank_checked_once_per_precision_and_prime(monkeypatch, primes, checks):
+def test_closed_form_mismatch_raises(monkeypatch):
+    # the semigroup's side off by one
+    closed = teter.fiber._closed_form_length
+    monkeypatch.setattr(
+        teter.fiber, "_closed_form_length", lambda *args: closed(*args) + 1
+    )
+    with pytest.raises(
+        CrossCheckError,
+        match=r"l\(B/n\^1\) is 1 by the matching count but 2 by the semigroup",
+    ):
+        verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
+
+
+def test_closed_form_runs_once_per_ring_and_degree_read(monkeypatch):
+    # per verify of <3,4,5>: once per (ring, degree) multiplicity() reads,
+    # degrees 0, 1, 2 (differences 1, 3, 4 = l(B/yB)) at each precision,
+    # the same at any number of primes, since no prime enters the lengths
     calls = []
-    check_power_rank = FiberProductRing._check_power_rank
+    closed = teter.fiber._closed_form_length
+    read = FiberProductRing.hilbert_function
 
-    def counting(self, k, prime):
-        calls.append((self.precision, prime))
-        return check_power_rank(self, k, prime)
+    def counting(self, k):
+        calls.append(("read", self.precision, k))
+        return read(self, k)
 
-    monkeypatch.setattr(FiberProductRing, "_check_power_rank", counting)
-    cert = verify_approximation(NumericalSemigroup([3, 4, 5]), 6, primes=primes)
-    assert len(calls) == len(set(calls)) == checks
-    assert set(calls) == {(n, p) for n in cert.precisions_checked for p in primes}
+    def counted(semigroup, g, c, k):
+        calls.append(("closed", k))
+        return closed(semigroup, g, c, k)
+
+    monkeypatch.setattr(FiberProductRing, "hilbert_function", counting)
+    monkeypatch.setattr(teter.fiber, "_closed_form_length", counted)
+    for primes in [(DEFAULT_PRIME, SECOND_PRIME), (2, 3, 5)]:
+        calls.clear()
+        cert = verify_approximation(NumericalSemigroup([3, 4, 5]), 6, primes=primes)
+        assert calls == [
+            call
+            for n in cert.precisions_checked
+            for k in range(3)
+            for call in (("read", n, k), ("closed", k + 1))
+        ]
 
 
-def test_power_rank_check_is_sparse_and_shares_the_spanning_products(monkeypatch):
-    # inside the rank check nothing builds a width-wide matrix or a row
-    # space; the socles may still use them.  The spanning products of
-    # each power are built once per ring and read at both primes.
-    checking = []
-
-    def dense(name, real):
-        def guarded(*args, **kwargs):
-            if checking:
-                raise AssertionError("%s inside the power rank check" % name)
-            return real(*args, **kwargs)
-
-        return guarded
-
-    check_power_rank = FiberProductRing._check_power_rank
-
-    def flagged(self, k, prime):
-        checking.append(k)
-        try:
-            return check_power_rank(self, k, prime)
-        finally:
-            checking.pop()
-
+def test_spanning_products_built_once_per_precision_and_power(monkeypatch):
     spanned = []
     spanning_products = FiberProductRing._spanning_products
 
@@ -440,17 +472,7 @@ def test_power_rank_check_is_sparse_and_shares_the_spanning_products(monkeypatch
         spanned.append((self.precision, k))
         return spanning_products(self, k)
 
-    monkeypatch.setattr(FiberProductRing, "_check_power_rank", flagged)
     monkeypatch.setattr(FiberProductRing, "_spanning_products", counting)
-    monkeypatch.setattr(
-        FiberProductRing,
-        "mult_matrix",
-        dense("mult_matrix", FiberProductRing.mult_matrix),
-    )
-    monkeypatch.setattr(teter.fiber, "rank_of", dense("rank_of", teter.fiber.rank_of))
-    monkeypatch.setattr(
-        teter.fiber, "RowSpace", dense("RowSpace", teter.fiber.RowSpace)
-    )
     cert = verify_approximation(NumericalSemigroup([5, 6, 13]), 20)
     assert cert.multiplicity == 6
     assert len(spanned) == len(set(spanned))
@@ -686,7 +708,7 @@ def test_precisions_disagreeing_on_the_reduction_raise(monkeypatch):
 
 def test_reduction_built_once_per_ring_and_socles_once_per_prime(monkeypatch):
     # per verify: one projection onto B/yB per ring, each socle once per
-    # prime, and the power rank check once per precision and prime
+    # prime
     calls = []
 
     def counting(name):
@@ -703,7 +725,6 @@ def test_reduction_built_once_per_ring_and_socles_once_per_prime(monkeypatch):
         "_projection",
         "socle_of_reduction",
         "graded_socle_of_reduction",
-        "_check_power_rank",
     ]
     for name in names:
         counting(name)
@@ -713,7 +734,6 @@ def test_reduction_built_once_per_ring_and_socles_once_per_prime(monkeypatch):
         "_projection": 2,
         "socle_of_reduction": 2,
         "graded_socle_of_reduction": 2,
-        "_check_power_rank": 4,
     }
     assert len(calls) == len(set(calls))
     assert {c[1] for c in calls if c[0] == "_projection"} == set(cert.precisions_checked)
@@ -938,6 +958,28 @@ def test_every_genus_13_witness_reaches_the_multiplicity():
     elapsed = time.perf_counter() - start
     assert rings == 426
     assert elapsed < 30.0, "multiplicity sweep took %.1fs" % elapsed
+
+
+def test_every_genus_15_witness_reaches_e_plus_one_by_the_closed_form():
+    # no model at all: on every witness shift of genus <= 15 the Hilbert
+    # differences of B, read off the closed form, reach l(B/yB) = e + 1
+    # and never exceed it, as a Cohen-Macaulay B of multiplicity e + 1 needs
+    shifts = 0
+    for _, gens in enumerate_semigroups(15):
+        H = NumericalSemigroup(gens)
+        if H.is_gorenstein:
+            continue
+        for shift, _, data in witness_shifts(H):
+            g, c, e = data.cyclic_generator, data.cyclic_length, H.multiplicity
+            diffs, length = [], 0
+            while not diffs or diffs[-1] != e + 1:
+                assert len(diffs) < 4 * (e + c), (gens, shift)
+                new = teter.fiber._closed_form_length(H, g, c, len(diffs) + 1)
+                diffs.append(new - length)
+                length = new
+            assert max(diffs) == e + 1, (gens, shift, diffs)
+            shifts += 1
+    assert shifts == 913
 
 
 def test_every_small_genus_witness_verifies():

@@ -15,7 +15,6 @@ from teter.modp import (
     is_prime,
     matmul_mod,
     rank_of,
-    sparse_rank,
 )
 
 
@@ -111,56 +110,6 @@ def test_add_matrix_matches_elimination_oracle(case):
             space.rows[:, space.pivots], np.eye(space.dim, dtype=np.int64)
         )
         assert not space.reduce_matrix(np.array(offered)).any()
-
-
-@st.composite
-def sparse_rows(draw):
-    """A prime, a width and up to 30 rows as {column: coefficient}.
-
-    Coefficients are arbitrary integers, negative ones and multiples of
-    p included, on up to six columns per row; zero rows, empty rows and
-    repeats of earlier rows (some scaled) are mixed in.
-    """
-    p = draw(st.sampled_from([2, 3, 11, 32003, 65521]))
-    width = draw(st.integers(1, 12))
-    coeff = st.one_of(
-        st.sampled_from([0, 1, -1, p, -p, p - 1, p + 1]),
-        st.integers(-(10**6), 10**6),
-    )
-    row = st.dictionaries(st.integers(0, width - 1), coeff, max_size=6)
-    rows = []
-    for _ in range(draw(st.integers(0, 30))):
-        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
-        if kind == "zero":
-            rows.append(dict.fromkeys(draw(st.sets(st.integers(0, width - 1))), 0))
-        elif kind == "repeat" and rows:
-            scale = draw(coeff)
-            rows.append({c: scale * x for c, x in draw(st.sampled_from(rows)).items()})
-        else:
-            rows.append(draw(row))
-    return p, width, rows
-
-
-@given(sparse_rows())
-@settings(deadline=None, max_examples=150)
-def test_sparse_rank_matches_elimination_oracle(case):
-    p, width, rows = case
-    dense = [[row.get(c, 0) for c in range(width)] for row in rows]
-    assert sparse_rank(rows, p) == oracle.bf_rank_mod_p(dense, p)
-    # the rows offered are left as they were
-    assert [[row.get(c, 0) for c in range(width)] for row in rows] == dense
-
-
-def test_sparse_rank_reduces_through_a_chain():
-    # every row after the first shares its lead with the first, so it is
-    # reduced once, and what is left of it starts a new pivot
-    p = 7
-    rows = [{0: 1, 1: 3}] + [{0: 1, 1: 3, k: -2} for k in range(2, 6)]
-    assert sparse_rank(rows, p) == oracle.bf_rank_mod_p(
-        [[r.get(c, 0) for c in range(6)] for r in rows], p
-    ) == 5
-    assert sparse_rank([{0: 2, 1: 4}, {0: 1, 1: 2}], 5) == 1
-    assert sparse_rank([{0: 3, 1: 3}], 3) == 0
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])

@@ -3,7 +3,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -15,6 +15,14 @@ from teter import (
     build_graded_model,
     canonical_ideal,
     quotient_data,
+)
+from teter.classify import witness_shifts
+from teter.fiber import (
+    MAX_WIDTH,
+    FiberProductRing,
+    _certified_degree,
+    _closed_form_length,
+    default_precision,
 )
 from teter.ideals import apery_is_proper, generators_outside, shifted_apery
 from teter.modp import RowSpace
@@ -322,6 +330,40 @@ def test_rowspace_invariants(seed):
     combo = (rng.integers(0, p, size=(1, mat.shape[0])) @ mat) % p
     assert space.contains(combo[0])
     assert space.add_matrix(combo) == 0
+
+
+@st.composite
+def clustered_generators(draw):
+    """3 to 5 generators below 60, the others below three times the
+    least, e: the Frobenius number stays small, so about one draw in
+    twenty has a witness model that fits MAX_WIDTH."""
+    e = draw(st.integers(3, 30))
+    rest = st.integers(e + 1, min(59, 3 * e - 1))
+    return [e] + draw(st.lists(rest, min_size=2, max_size=4, unique=True))
+
+
+@given(clustered_generators())
+@settings(deadline=None, max_examples=600)
+def test_closed_form_matches_the_width_model(gens):
+    # beyond the census: at every witness shift whose model fits, at the
+    # floor and at the floor plus 2 max, every certified degree's length
+    # by the matching count equals the semigroup's closed form
+    assume(coprime(gens))
+    H = NumericalSemigroup(gens)
+    if H.is_gorenstein:
+        return
+    floor, step = default_precision(H), 2 * max(H.generators)
+    for shift, _, data in witness_shifts(H):
+        g, c = data.cyclic_generator, data.cyclic_length
+        # the width 2(N + 1) - genus - c at the larger precision
+        if 2 * (floor + step + 1) - H.genus - c > MAX_WIDTH:
+            continue
+        event("model fits")
+        for n in (floor, floor + step):
+            ring = FiberProductRing(H, shift, precision=n)
+            for k in range(_certified_degree(H, n) + 1):
+                want = _closed_form_length(H, g, c, k + 1)
+                assert ring.width - ring._power_rank(k + 1) == want, (gens, shift, n, k)
 
 
 def random_semigroups(count, seed):
