@@ -435,10 +435,16 @@ def test_closed_form_mismatch_raises(monkeypatch):
         verify_approximation(NumericalSemigroup([3, 4, 5]), 6)
 
 
-def test_closed_form_runs_once_per_ring_and_degree_read(monkeypatch):
-    # per verify of <3,4,5>: once per (ring, degree) multiplicity() reads,
-    # degrees 0, 1, 2 (differences 1, 3, 4 = l(B/yB)) at each precision,
-    # the same at any number of primes, since no prime enters the lengths
+@pytest.mark.parametrize(
+    "primes",
+    [(DEFAULT_PRIME, SECOND_PRIME), (2, 3, 5)],
+    ids=["default-primes", "three-primes"],
+)
+def test_power_rank_checked_once_per_precision_and_prime(monkeypatch, primes):
+    # per verify of <3,4,5>: the closed form checks the power rank once
+    # per (ring, degree) multiplicity() reads, degrees 0, 1, 2 (differences
+    # 1, 3, 4 = l(B/yB)) at each precision, and not once more per prime,
+    # since no prime enters the lengths
     calls = []
     closed = teter.fiber._closed_form_length
     read = FiberProductRing.hilbert_function
@@ -453,15 +459,13 @@ def test_closed_form_runs_once_per_ring_and_degree_read(monkeypatch):
 
     monkeypatch.setattr(FiberProductRing, "hilbert_function", counting)
     monkeypatch.setattr(teter.fiber, "_closed_form_length", counted)
-    for primes in [(DEFAULT_PRIME, SECOND_PRIME), (2, 3, 5)]:
-        calls.clear()
-        cert = verify_approximation(NumericalSemigroup([3, 4, 5]), 6, primes=primes)
-        assert calls == [
-            call
-            for n in cert.precisions_checked
-            for k in range(3)
-            for call in (("read", n, k), ("closed", k + 1))
-        ]
+    cert = verify_approximation(NumericalSemigroup([3, 4, 5]), 6, primes=primes)
+    assert calls == [
+        call
+        for n in cert.precisions_checked
+        for k in range(3)
+        for call in (("read", n, k), ("closed", k + 1))
+    ]
 
 
 def test_spanning_products_built_once_per_precision_and_power(monkeypatch):
