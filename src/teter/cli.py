@@ -9,6 +9,7 @@ Exit codes: 0 computed (any verdict), 1 reference-table mismatch,
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -188,7 +189,11 @@ def _cmd_examples(args):
     return 0 if all(match for *_, match in rows) else 1
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    # built once per process, with the subcommand handlers bound then: a
+    # batch pass is one main() call, and each parse_args returns a fresh
+    # namespace, so no state passes between calls
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit JSON")
 

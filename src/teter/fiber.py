@@ -95,11 +95,11 @@ from .modp import (
 
 
 # Widest model a FiberProductRing builds.  The product tables and the
-# powers grow linearly with the width, and the powers dominate (widths
-# 579 and 599, `analyze 3,4,5 --approximate --precision 291`: 0.026 s in
-# verify_approximation, 0.006 s once warm, 42% of it in the powers and
-# 17% in the graded socle under cProfile; 31 MB peak for the whole
-# command, 2-core x86-64 VM).
+# powers grow linearly with the width (widths 579 and 599, `analyze
+# 3,4,5 --approximate --precision 291`: 0.006-0.008 s for the first call
+# in a process, 0.002-0.003 s in verify_approximation once warm, 20% of
+# it in the powers and 27% in the graded socle under cProfile; 31 MB
+# peak for the whole command, 2-core x86-64 VM).
 MAX_WIDTH = 600
 
 
@@ -208,13 +208,16 @@ class FiberProductRing:
         tails = np.arange(quotient.cyclic_length, precision + 1, dtype=np.int64)
         self._nt = nt = len(members)
         self.width = nt + len(tails)
-        cobasis = np.array(quotient.cobasis, dtype=np.int64)
-        if not np.isin(cobasis, members).all():
-            raise CrossCheckError("quotient basis escapes the precision window")
         self._t = np.concatenate([members, np.full(len(tails), -1)])
         self._u = np.concatenate([np.full(nt, -1), tails])
         self._index = np.full(precision + 1, -1, dtype=np.int64)
         self._index[members] = np.arange(nt)
+        # the quotient basis must be members up to N: looked up only once
+        # it lies inside [0, N]
+        cobasis = np.array(quotient.cobasis, dtype=np.int64)
+        inside = min(quotient.cobasis) >= 0 and max(quotient.cobasis) <= precision
+        if not inside or (self._index[cobasis] < 0).any():
+            raise CrossCheckError("quotient basis escapes the precision window")
         self._u[self._index[cobasis]] = cobasis // g
 
         self._products = []
@@ -240,8 +243,10 @@ class FiberProductRing:
         if (has_t & (t_index < 0)).any():
             raise CrossCheckError("a sum of two members is not a member")
         has_u = (ui >= 0) & (u >= 0) & (c <= v) & (v <= n)
-        pairs = np.stack([t_index, np.where(has_u, self._nt + v - c, -1)], axis=-1)
-        return np.pad(pairs, ((0, 0), (0, 1), (0, 0)), constant_values=-1)
+        tables = np.full((len(rows), self.width + 1, 2), -1, dtype=np.int64)
+        tables[:, :-1, 0] = t_index
+        tables[:, :-1, 1] = np.where(has_u, self._nt + v - c, -1)
+        return tables
 
     def _tables(self, rows):
         # the product tables of basis[rows], checked: the t columns hold
@@ -249,10 +254,11 @@ class FiberProductRing:
         # a pure tail (0, u^j) has no t-index
         nt, tables = self._nt, self._product_tables(rows)
         t_col, u_col = tables[:, :-1, 0], tables[:, :-1, 1]
-        wrong = ((t_col >= nt) | ((0 <= u_col) & (u_col < nt))).any(axis=1)
+        wrong = (t_col >= nt) | ((0 <= u_col) & (u_col < nt))
         if wrong.any():
             raise CrossCheckError(
-                "a product of basis[%d] is not a bimonomial" % rows[wrong.argmax()]
+                "a product of basis[%d] is not a bimonomial"
+                % rows[wrong.any(axis=1).argmax()]
             )
         if ((t_col >= 0) & ((self._t < 0) | (self._t[rows, None] < 0))).any():
             raise CrossCheckError("a product with a pure tail has a t-index")
@@ -296,15 +302,27 @@ class FiberProductRing:
         if k == 1:
             out = tables[:, :-1]
         else:
-            parts = tables[:, self._products[k - 2]]
-            if (parts >= 0).all(axis=2).any():
+            previous = self._products[k - 2]
+            t_part = np.take(tables, previous[:, 0], axis=1)
+            u_part = np.take(tables, previous[:, 1], axis=1)
+            if np.minimum(t_part, u_part).max(initial=-1) >= 0:
                 raise CrossCheckError("a product in power %d is not a bimonomial" % k)
-            out = parts.max(axis=2)
-        # distinct nonzero products, each pair coded as one integer
+            out = np.maximum(t_part, u_part)
+        # distinct nonzero products: each pair coded as one integer, the
+        # codes sorted and kept where they differ from their left
+        # neighbour; the pair (-1, -1) has the least code
         base = self.width + 1
-        codes = np.unique(out.reshape(-1, 2) @ np.array([base, 1]) + base + 1)
-        codes = codes[codes > 0]
-        return np.stack([codes // base, codes % base], axis=1) - 1
+        codes = (out[..., 0] * base + out[..., 1]).ravel()
+        codes.sort()
+        keep = np.empty(len(codes), dtype=bool)
+        keep[:1] = codes[:1] > -base - 1
+        np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+        codes = codes[keep] + (base + 1)
+        products = np.empty((len(codes), 2), dtype=np.int64)
+        np.floor_divide(codes, base, out=products[:, 0])
+        np.remainder(codes, base, out=products[:, 1])
+        products -= 1
+        return products
 
     def _power_rank(self, k):
         # rank of the k-th power, k >= 1, by the count of the module
@@ -313,15 +331,18 @@ class FiberProductRing:
             power = len(self._ranks) + 1
             products = self._spanning_products(power)
             self._products.append(products)
-            mixed = (products >= 0).all(axis=1)
+            t, u = products[:, 0], products[:, 1]
+            mixed = (t >= 0) & (u >= 0)
             ends = products[mixed]
-            if (np.bincount(ends.ravel()) > 1).any():
+            if np.bincount(ends.ravel()).max(initial=0) > 1:
                 raise CrossCheckError(
                     "the mixed products of power %d are not a matching" % power
                 )
+            # a pure product's one index is t + u + 1
             pure = np.zeros(self.width, dtype=bool)
-            pure[products[~mixed].max(axis=1)] = True
-            self._ranks.append(len(products) - int(pure[ends].all(axis=1).sum()))
+            pure[(t + u + 1)[~mixed]] = True
+            triangles = np.count_nonzero(pure[ends[:, 0]] & pure[ends[:, 1]])
+            self._ranks.append(len(products) - triangles)
         return self._ranks[k - 1]
 
     def hilbert_function(self, k):
@@ -382,7 +403,7 @@ class FiberProductRing:
         # is the least on each branch of the normalization, so yB is a
         # reduction of m.
         e, g = self.semigroup.multiplicity, self.cyclic_generator
-        return np.unique(self._index[[e, g]]).tolist()
+        return sorted({int(self._index[e]), int(self._index[g])})
 
     @functools.cached_property
     def _rows_of_yb(self):
@@ -391,8 +412,8 @@ class FiberProductRing:
         # generators), every coefficient 1.  The nonzero rows must lead
         # (least index) at distinct indices: then they are independent over
         # every field, and the other indices, the free ones, number l(B/yB).
-        w = self.width
-        terms = [self.generator_indices.index(i) for i in self._parameter()]
+        w, generators = self.width, self.generator_indices
+        terms = [generators.index(i) for i in self._parameter()]
         index = np.hstack(self._generator_tables[terms, :-1])
         index = np.sort(np.where(index < 0, w, index), axis=1)
         if ((index[:, 1:] == index[:, :-1]) & (index[:, 1:] < w)).any():
@@ -413,9 +434,9 @@ class FiberProductRing:
         # entry outside {-1, 0, 1} stops it before int64 could overflow.
         proj = np.zeros((self.width + 1, len(free)), dtype=np.int64)
         proj[free, np.arange(len(free))] = 1
-        lead, rest = index[:, 0], index[:, 1:]
+        lead, rest = index[:, 0], index[:, 1:].T
         while True:
-            new = -proj[rest].sum(axis=1)
+            new = -proj[rest].sum(axis=0)
             if (np.abs(new) > 1).any():
                 raise CrossCheckError("an image in B/yB leaves {-1, 0, 1}")
             if np.array_equal(new, proj[lead]):
@@ -435,9 +456,11 @@ class FiberProductRing:
         # so rank(yB) <= width - q; the distinct leading indices give >=
         if not np.array_equal(proj[free], np.eye(len(free), dtype=np.int64)):
             raise CrossCheckError("the projection onto B/yB moves a free index")
-        if proj[index].sum(axis=1).any():
+        if proj[index.T].sum(axis=0).any():
             raise CrossCheckError("the projection onto B/yB misses a row of yB")
-        return np.hstack(proj[self._generator_tables[:, free]].sum(axis=2))
+        tables = self._generator_tables[:, free]
+        actions = proj[tables[..., 0]] + proj[tables[..., 1]]
+        return actions.transpose(1, 0, 2).reshape(len(free), -1)
 
     def socle_of_reduction(self, prime=DEFAULT_PRIME):
         """Dimension of the socle of B/yB over F_prime.

@@ -120,8 +120,9 @@ class RowSpace:
             return 0
         new = block[kept]
         if self.pivots:
-            self.rows = (self.rows - matmul_mod(self.rows[:, new_pivots], new, p)) % p
-        self.rows = np.vstack([self.rows, new])
+            cleared = (self.rows - matmul_mod(self.rows[:, new_pivots], new, p)) % p
+            new = np.vstack([cleared, new])
+        self.rows = new
         self.pivots.extend(new_pivots)
         return len(kept)
 

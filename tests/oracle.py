@@ -10,7 +10,7 @@ the end are the exception: they view a ring built by the package.
 
 import numpy as np
 
-from teter import PrecisionTooSmallError
+from teter import CrossCheckError, PrecisionTooSmallError
 from teter.ideals import canonical_ideal, quotient_data
 from teter.modp import RowSpace, matmul_mod, rank_of
 
@@ -609,3 +609,26 @@ def union_find_ranks(ring, powers):
                 basis.append((t, u))
         ranks.append(len(basis))
     return ranks
+
+
+def pair_spanning_products(ring, k):
+    """The spanning products of the k-th power of ring's maximal ideal.
+
+    The products of ring's own spanning products of the (k-1)-st power
+    (basis elements for k = 1) with each generator, as distinct (t-index,
+    u-index) pairs, -1 for none, sorted: each product reads the rows of
+    both parts of its pair at once, and np.unique drops the repeats.
+    """
+    tables = ring._generator_tables
+    if k == 1:
+        out = tables[:, :-1]
+    else:
+        parts = tables[:, ring._products[k - 2]]
+        if (parts >= 0).all(axis=2).any():
+            raise CrossCheckError("a product in power %d is not a bimonomial" % k)
+        out = parts.max(axis=2)
+    # distinct nonzero products, each pair coded as one integer
+    base = ring.width + 1
+    codes = np.unique(out.reshape(-1, 2) @ np.array([base, 1]) + base + 1)
+    codes = codes[codes > 0]
+    return np.stack([codes // base, codes % base], axis=1) - 1

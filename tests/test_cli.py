@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -91,6 +92,27 @@ def test_analyze_custom_primes(capsys):
     appr = json.loads(out)["approximation"]
     assert appr["primes"] == [101, 103]
     assert appr["multiplicity"] == 4
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # a batch pass is one main() call, but a process makes many: the
+    # second call reuses the parser, and its defaults are its own, so the
+    # first call's primes do not carry over
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    teter.cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ("analyze", "3,4,5", "--approximate", "--json", "--no-timings")
+    _, first, _ = run(capsys, *argv, "--primes", "2,3")
+    _, second, _ = run(capsys, *argv)
+    assert builds.count("teter") == 1
+    assert json.loads(first)["approximation"]["primes"] == [2, 3]
+    assert json.loads(second)["approximation"]["primes"] == [32003, 65521]
 
 
 def test_byte_identical_reruns(capsys):

@@ -36,6 +36,7 @@ from oracle import (
     enumerate_semigroups,
     gen_matrices,
     kernel_profile,
+    pair_spanning_products,
     union_find_ranks,
     width_graded_socle,
     width_socle,
@@ -336,6 +337,17 @@ def test_quotient_basis_outside_the_window_raises(monkeypatch):
         FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
 
 
+@pytest.mark.parametrize("cobasis", [(0, 2), (0, -3)], ids=["gap", "negative"])
+def test_quotient_basis_off_the_members_raises(monkeypatch, cobasis):
+    # a quotient basis inside [0, N] = [0, 40] but holding the gap 2 of
+    # <3,4,5>, or reaching below 0, where a lookup would wrap around
+    monkeypatch.setattr(
+        teter.fiber, "quotient_data", lambda H, I: QuotientData(cobasis, 1, 2, 2)
+    )
+    with pytest.raises(CrossCheckError, match="escapes the precision window"):
+        FiberProductRing(NumericalSemigroup([3, 4, 5]), 6)
+
+
 def test_generator_and_parameter_tables_match_the_series_products():
     # every row of the tables the library reads, the generators' and the
     # parameter's, against the products of the oracle's series pairs,
@@ -370,7 +382,8 @@ def test_matching_count_matches_the_union_find():
     # every power hilbert_function can read, of every witness ring of
     # genus <= 9 and the four benchmark rings: the matching count against
     # a spanning forest of the products of the previous power's forest,
-    # and the length it gives against the semigroup's closed form
+    # the length it gives against the semigroup's closed form, and the
+    # spanning products against the oracle's one-gather kernel
     cases = list(_witness_rings(9))
     cases += [(NumericalSemigroup(list(g)), s) for g, s in APPROXIMATE_RINGS]
     powers = 0
@@ -383,6 +396,10 @@ def test_matching_count_matches_the_union_find():
         assert [ring.width - rank for rank in got] == [
             teter.fiber._closed_form_length(H, g, c, k) for k in range(1, top + 1)
         ], (H, shift)
+        assert all(
+            np.array_equal(ring._products[k - 1], pair_spanning_products(ring, k))
+            for k in range(1, top + 1)
+        ), (H, shift)
         powers += top
     assert len(cases) == 4 + 131 and powers == 1151
 
